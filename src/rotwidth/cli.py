@@ -26,8 +26,8 @@ from .finegraph import certify_no_roots
 from .flows import (
     ExperimentConfig,
     FlowError,
-    constant_field,
     parse_experiment_config,
+    parse_field_spec,
     run_experiment,
 )
 from .geometry import GeometryError, PolygonFormatError, hausdorff_distance, point
@@ -163,12 +163,9 @@ def cmd_flow(args) -> int:
     else:
         if not args.floors:
             raise FlowError("need --config or --floors")
-        kind, _, value = args.field.partition(":")
-        if kind != "const":
-            raise FlowError(f"unknown field spec {args.field!r}")
         a, b = (float(v) for v in args.window.split(","))
         cfg = ExperimentConfig(
-            field=constant_field(float(value)),
+            field=parse_field_spec(args.field),
             floors=[float(f) for f in args.floors.split(",")],
             window=(a, b), margin=args.margin, step=args.step,
             horizon=args.horizon,

@@ -201,10 +201,6 @@ def vh_power(n: int, profile: Profile | None = None) -> Power:
     return Power(Compose((VShear(p, 1), HShear(p, 1))), n)
 
 
-def identity_expr() -> Translate:
-    return Translate(0.0, 0.0)
-
-
 def lift_lipschitz_bound(expr: MapExpr) -> float:
     """Upper bound on the Lipschitz constant of the plane lift.
 

@@ -807,7 +807,10 @@ def equivariant_arc_conjugacy(phi1: Callable, phi2: Callable, *,
             hi = lo
             m += 1
         else:
-            return 0.0  # deep in the basin: indistinguishable from the fixed point
+            raise FlowError(
+                f"arc conjugacy: x = {x!r} is not reached within max_steps = "
+                f"{max_steps} iterates of phi1 from the arc ends"
+            )
         if m == 0:
             u = x
         else:
@@ -837,7 +840,7 @@ class ExperimentConfig:
     grid: tuple[float, float, int] | None = None
 
 
-def _parse_field_spec(spec: str) -> Field1D:
+def parse_field_spec(spec: str) -> Field1D:
     kind, _, arg = spec.partition(":")
     if kind == "const":
         return constant_field(float(arg))
@@ -868,7 +871,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         raise FlowError("config must set floors")
 
     cfg = ExperimentConfig(
-        field=_parse_field_spec(values.get("field", "const:0.1")),
+        field=parse_field_spec(values.get("field", "const:0.1")),
         floors=[float(v) for v in values["floors"].split(",")],
     )
     if "window" in values:

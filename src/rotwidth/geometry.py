@@ -3,16 +3,21 @@ the lattice ("essential") width.
 
 Every coordinate in this module is a `fractions.Fraction`, and every
 predicate, width, and lattice-point query is exact.  Floating point appears
-only in `min_geometric_width` (documented as a rounded-down bound) and in
-`hausdorff_distance`, which is a diagnostic for the numerical estimators.
+only in `hausdorff_distance`, which is a diagnostic for the numerical
+estimators.
 
 The essential width of a compact convex set is the smallest horizontal
 width it can be given by a unimodular change of basis of the integer
 lattice.  Horizontal width after acting by a unimodular matrix with first
 row w equals the directional width along w, and every primitive integer
 vector occurs as such a first row, so the essential width is the minimum
-of the directional width over primitive integer directions.  That is the
-quantity computed here.
+of the directional width over primitive integer directions.  For a
+full-dimensional polygon C the map w -> width_C(w) is a norm on the plane
+(the support function of C - C), and in any planar norm the first vector
+of a Gauss-reduced lattice basis is a shortest nonzero lattice vector
+(Kaib & Schnorr, "The generalized Gauss reduction algorithm", J.
+Algorithms 21, 1996).  The essential width is therefore the width of that
+vector, and no direction search is needed.
 """
 
 from __future__ import annotations
@@ -286,7 +291,7 @@ def _min_width_sq(C: ConvexPolygonQ) -> Fraction:
 
     The minimal width of a convex polygon is attained normal to one of its
     edges, so it is min over edges of (max vertex distance to the edge
-    line).  Returned as an exact rational to keep enumeration bounds exact.
+    line).  Returned as an exact rational to keep the oracle radius exact.
     """
     if C.dimension < 2:
         raise DegeneratePolygonError("minimal width needs a full-dimensional polygon")
@@ -301,40 +306,19 @@ def _min_width_sq(C: ConvexPolygonQ) -> Fraction:
     return best
 
 
-def min_geometric_width(C: ConvexPolygonQ) -> float:
-    """Minimal Euclidean width over all directions, rounded down.
-
-    The result is a float no larger than the true width (it may under-read
-    by a couple of ulps), which keeps it safe to use as an enumeration
-    bound denominator.  Raises on degenerate polygons.
-    """
-    g = math.sqrt(float(_min_width_sq(C)))
-    g = math.nextafter(math.nextafter(g, 0.0), 0.0)
-    return g
-
-
-def _primitive_directions(radius_cap: int, norm_sq_cap: Fraction | None):
-    """Yield primitive (a, b) with b > 0, plus (1, 0), inside the given caps."""
-    if radius_cap >= 1:
-        yield (1, 0)
-    for b in range(1, radius_cap + 1):
-        bb = b * b
-        for a in range(-radius_cap, radius_cap + 1):
-            if math.gcd(abs(a), b) != 1:
-                continue
-            if norm_sq_cap is not None and a * a + bb > norm_sq_cap:
-                continue
-            yield (a, b)
-
-
 @dataclass
 class EWResult:
-    """Essential width together with the optimizing direction and the
-    enumeration data needed for independent cross-checks."""
+    """Essential width together with the optimizing direction and the data
+    needed for independent cross-checks.
+
+    `reduced_basis` is the width-norm Gauss-reduced basis (u, v) whose first
+    vector is the optimizer; `oracle_radius` is a sup-norm radius at which
+    `ew_oracle` must reproduce `value`.  `enum_radius` is always 0: no
+    directions are enumerated.
+    """
 
     value: Fraction
     direction: tuple[int, int]
-    seed_width: Fraction | None
     enum_radius: int
     oracle_radius: int
     reduced_basis: tuple[tuple[int, int], tuple[int, int]] | None
@@ -377,15 +361,21 @@ def _argmin_on_line(C: ConvexPolygonQ, v: tuple[int, int], u: tuple[int, int]):
 
 
 def _width_reduced_basis(C: ConvexPolygonQ):
-    """Gauss-style reduction of the standard basis under the width norm.
+    """Generalized Gauss reduction of the standard basis under the width norm.
 
-    Returns a unimodular pair (u, v) with width(u) <= width(v) and no
-    integer shift of v along u improving it.  This only serves to shrink
-    the later disk enumeration; correctness never depends on it.
+    Returns a determinant-one pair (u, v) with width(u) <= width(v) <=
+    width(v + k*u) for every integer k.  For a full-dimensional C this is a
+    Gauss-reduced basis of the width norm, so u is a shortest nonzero
+    lattice vector (Kaib & Schnorr, J. Algorithms 21, 1996).
+
+    Termination: all widths lie in (1/D)*Z, where D is the lcm of the vertex
+    denominators, and are positive.  Every pass either stops or replaces v
+    by a vector of strictly smaller width, so width(u) + width(v) strictly
+    decreases on a discrete set bounded below and the loop ends.
     """
     u, v = (1, 0), (0, 1)
     nu, nv = _width_int(C, *u), _width_int(C, *v)
-    for _ in range(64):
+    while True:
         if nu > nv:
             u, v = v, u
             nu, nv = nv, nu
@@ -416,23 +406,17 @@ def _ceil_sqrt(q: Fraction) -> int:
     return r
 
 
-_SEED_DIRECTIONS = ((1, 0), (0, 1), (1, 1), (1, -1))
-_ENUM_PAIR_CAP = 2_000_000
-
-
 def essential_width_detail(C: ConvexPolygonQ) -> EWResult:
-    """Exact essential width with optimizer and enumeration metadata.
+    """Exact essential width with its optimizer and cross-check metadata.
 
-    Algorithm for full-dimensional polygons: reduce the lattice basis under
-    the width norm, seed a bound W0 from the directions
-    {(1,0),(0,1),(1,1),(1,-1)} in the reduced frame, then enumerate every
-    primitive direction of Euclidean norm at most W0/g, where g is the
-    minimal Euclidean width.  Any direction outside that disk has width at
-    least ||w||*g > W0, so the minimum over the disk is the global one.
+    For a full-dimensional polygon, w -> width_C(w) is a norm, and the first
+    vector u of the width-norm Gauss-reduced basis is a shortest lattice
+    vector in it (Kaib & Schnorr, J. Algorithms 21, 1996); shortest vectors
+    are primitive, so the essential width is width(u), attained along u.
     Degenerate polygons have essential width zero.
     """
     if C.dimension == 0:
-        return EWResult(Fraction(0), (1, 0), None, 0, 1, None)
+        return EWResult(Fraction(0), (1, 0), 0, 1, None)
     if C.dimension == 1:
         a, b = C.vertices
         d = b - a
@@ -441,33 +425,12 @@ def essential_width_detail(C: ConvexPolygonQ) -> EWResult:
         g = math.gcd(abs(ix), abs(iy))
         ix, iy = ix // g, iy // g
         direction = _canonical_direction(iy, -ix)  # annihilates the segment
-        return EWResult(Fraction(0), direction, None, 0, max(map(abs, direction)), None)
+        return EWResult(Fraction(0), direction, 0, max(map(abs, direction)), None)
 
     u, v = _width_reduced_basis(C)
-    A = UnimodularMatrix(u[0], u[1], v[0], v[1])
-    Cr = apply_unimodular(A, C)
-
-    w0 = min(_width_int(Cr, a, b) for a, b in _SEED_DIRECTIONS)
-    g_sq = _min_width_sq(Cr)
-    norm_sq_cap = w0 * w0 / g_sq
-    radius = _ceil_sqrt(norm_sq_cap)
-    if (2 * radius + 1) * (radius + 1) > _ENUM_PAIR_CAP:
-        raise GeometryError(
-            f"essential-width enumeration bound too large (radius {radius})"
-        )
-
-    best: Fraction | None = None
-    best_dir = (1, 0)
-    for a, b in _primitive_directions(radius, norm_sq_cap):
-        wd = _width_int(Cr, a, b)
-        if best is None or wd < best:
-            best, best_dir = wd, (a, b)
-
-    a, b = best_dir
-    # direction in the original frame: a*u + b*v (rows of A)
-    direction = _canonical_direction(a * u[0] + b * v[0], a * u[1] + b * v[1])
+    best = _width_int(C, *u)
     oracle_radius = max(1, _ceil_sqrt(best * best / _min_width_sq(C)))
-    return EWResult(best, direction, w0, radius, oracle_radius, (u, v))
+    return EWResult(best, _canonical_direction(*u), 0, oracle_radius, (u, v))
 
 
 def essential_width(C: ConvexPolygonQ) -> Fraction:
@@ -480,7 +443,7 @@ def ew_oracle(C: ConvexPolygonQ, radius: int) -> Fraction:
     at most `radius`.
 
     Always an upper bound on the essential width; exact once `radius`
-    reaches the enumeration bound reported by `essential_width_detail`.
+    reaches the `oracle_radius` reported by `essential_width_detail`.
     """
     if radius < 1:
         raise GeometryError("oracle radius must be >= 1")

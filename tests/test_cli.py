@@ -147,6 +147,11 @@ class TestFlowCommand:
         code, _, err = run_cli(capsys, "flow", "--config", str(cfg))
         assert code == 2
 
+    def test_bad_field_spec(self, capsys):
+        code, _, err = run_cli(capsys, "flow", "--floors", "0.5", "--field", "lin:1")
+        assert code == 2
+        assert "unknown field spec" in err
+
 
 class TestDeterminism:
     def test_rotset_byte_identical(self, capsys):

@@ -277,6 +277,13 @@ class TestEquivariantArcConjugacy:
         with pytest.raises(NonContractingMapError):
             equivariant_arc_conjugacy(lambda x: x / 2, lambda x: 2 * x)
 
+    def test_query_past_max_steps_raises(self):
+        # 0.02 is ~390 iterates of 0.99x from 1; 0.017 needs ~405 > 400
+        ac = equivariant_arc_conjugacy(lambda x: 0.99 * x, lambda x: 0.999 * x)
+        assert ac.map(0.02) == pytest.approx(0.677, abs=1e-3)
+        with pytest.raises(FlowError, match="max_steps = 400"):
+            ac.map(0.017)
+
     def test_moved_fixed_point_rejected(self):
         with pytest.raises(NonContractingMapError):
             equivariant_arc_conjugacy(lambda x: x / 2 + 0.1, lambda x: x / 2)

@@ -7,7 +7,6 @@ import pytest
 
 from rotwidth.geometry import (
     ConvexPolygonQ,
-    DegeneratePolygonError,
     GeometryError,
     PolygonFormatError,
     PrimitiveVector,
@@ -24,7 +23,6 @@ from rotwidth.geometry import (
     hausdorff_distance,
     has_three_nonaligned_interior,
     interior_lattice_points,
-    min_geometric_width,
     parse_polygon_text,
     point,
 )
@@ -169,27 +167,6 @@ class TestEwOracle:
     def test_radius_validated(self):
         with pytest.raises(GeometryError):
             ew_oracle(unit_square(), 0)
-
-
-class TestMinGeometricWidth:
-    def test_unit_square(self):
-        g = min_geometric_width(unit_square())
-        assert 1 - 1e-12 <= g <= 1
-
-    def test_right_triangle(self):
-        # width normal to the hypotenuse of (0,0),(4,0),(0,4) is 4/sqrt(2)
-        C = convex_hull([point(0, 0), point(4, 0), point(0, 4)])
-        want = 4 / math.sqrt(2)
-        g = min_geometric_width(C)
-        assert want - 1e-9 <= g <= want
-
-    def test_scaled_square(self):
-        g = min_geometric_width(unit_square().scale(3))
-        assert 3 - 1e-9 <= g <= 3
-
-    def test_degenerate_rejected(self):
-        with pytest.raises(DegeneratePolygonError):
-            min_geometric_width(convex_hull([point(0, 0), point(1, 1)]))
 
 
 class TestLatticePoints:

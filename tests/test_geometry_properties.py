@@ -1,5 +1,6 @@
 """Property tests for the essential width: invariance, homogeneity,
-monotonicity, oracle equivalence, and the interior-points bounds."""
+monotonicity, oracle equivalence, the reduced-basis certificate, and the
+interior-points bounds."""
 
 import math
 import random
@@ -33,6 +34,22 @@ polygons = st.lists(points, min_size=1, max_size=7).map(ConvexPolygonQ)
 
 full_polygons = polygons.filter(lambda C: C.dimension == 2)
 
+small_coords = st.builds(
+    F,
+    st.integers(min_value=-6, max_value=6),
+    st.integers(min_value=1, max_value=3),
+)
+
+# Small polygons under unimodular maps with entries up to 60: thin, sheared
+# inputs whose width-norm reduction takes many steps.
+sheared_polygons = st.builds(
+    lambda C, seed: apply_unimodular(
+        random_unimodular(random.Random(seed), entry_bound=60), C),
+    st.lists(st.builds(point, small_coords, small_coords), min_size=3, max_size=5)
+    .map(ConvexPolygonQ).filter(lambda C: C.dimension == 2),
+    st.integers(min_value=0, max_value=10**6),
+)
+
 unimodulars = st.builds(
     lambda seed: random_unimodular(random.Random(seed)),
     st.integers(min_value=0, max_value=10**6),
@@ -64,10 +81,28 @@ def test_monotonicity_under_inclusion(pts):
 
 
 @settings(max_examples=150, deadline=None)
-@given(full_polygons)
+@given(st.one_of(full_polygons, sheared_polygons))
 def test_oracle_equivalence_at_reported_radius(C):
     detail = essential_width_detail(C)
     assert ew_oracle(C, detail.oracle_radius) == detail.value
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(full_polygons, sheared_polygons))
+def test_reduced_basis_certifies_the_minimum(C):
+    """The Gauss-reduced basis is the proof that its first vector is a
+    shortest vector of the width norm; check that proof directly."""
+    detail = essential_width_detail(C)
+    u, v = detail.reduced_basis
+    assert u[0] * v[1] - u[1] * v[0] == 1
+    wu = directional_width(C, u)
+    wv = directional_width(C, v)
+    assert wu == detail.value
+    # width(v + k*u) is convex in k, so k = +/-1 is the whole condition
+    neighbours = (directional_width(C, (v[0] + u[0], v[1] + u[1])),
+                  directional_width(C, (v[0] - u[0], v[1] - u[1])))
+    assert wu <= wv <= min(neighbours)
+    assert detail.direction in (u, (-u[0], -u[1]))
 
 
 @settings(max_examples=100, deadline=None)
