@@ -48,13 +48,6 @@ def _header(cmd: str, seed, params: str) -> str:
     return f"# rotwidth {__version__} | {cmd} | seed={seed} | {params}"
 
 
-def _parse_rational(text: str) -> Fraction:
-    try:
-        return Fraction(text.strip())
-    except (ValueError, ZeroDivisionError) as exc:
-        raise GeometryError(f"not a rational: {text!r}") from exc
-
-
 def cmd_ew(args) -> int:
     C = geo.load_polygon(args.polygon)
     print(_header("ew", "-", f"file={args.polygon} oracle_radius={args.oracle_radius}"))
@@ -107,8 +100,8 @@ def cmd_rotset(args) -> int:
 
 
 def cmd_roots(args) -> int:
-    ew = _parse_rational(args.ew)
-    upper = _parse_rational(args.length_upper)
+    ew = geo.to_rational(args.ew)
+    upper = geo.to_rational(args.length_upper)
     print(_header("roots", "-", f"ew={ew} length_upper={upper}"))
     cert = certify_no_roots(ew, upper)
     if args.out:

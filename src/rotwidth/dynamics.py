@@ -8,8 +8,8 @@ A map expression is a small AST over the generators
     T(a, b)                        (rigid translation)
 
 where phi is a 1-periodic speed profile with phi(0) = 0 and phi(1/2) = 1,
-taking values in [0, 1].  Composition is applied right to left, so
-Compose([a, b]) means "a after b".
+taking values in [0, 1].  Compose and Power are unrolled in one place,
+`_steps`, whose docstring gives the composition order.
 
 Arithmetic is double precision with Kahan-compensated accumulation of
 per-step displacements; orbit positions are wrapped to [0,1)^2 each step
@@ -46,15 +46,6 @@ class SinSqProfile:
     """phi(x) = sin^2(pi x), evaluated exactly at half-integers."""
 
     kind = "sinsq"
-
-    def __call__(self, x: float) -> float:
-        r = x % 1.0
-        if r == 0.0:
-            return 0.0
-        if r == 0.5:
-            return 1.0
-        s = math.sin(math.pi * r)
-        return s * s
 
     def array(self, xs: np.ndarray) -> np.ndarray:
         r = np.mod(xs, 1.0)
@@ -201,6 +192,26 @@ def vh_power(n: int, profile: Profile | None = None) -> Power:
     return Power(Compose((VShear(p, 1), HShear(p, 1))), n)
 
 
+def _steps(expr: MapExpr):
+    """The generators of `expr` in application order.
+
+    This is the one place that knows composition semantics: Compose((a, b))
+    applies b first, then a (right to left), and Power(e, k) applies e
+    k times.  Steps are yielded lazily, so large powers are not unrolled
+    into memory.
+    """
+    if isinstance(expr, (VShear, HShear, Translate)):
+        yield expr
+    elif isinstance(expr, Compose):
+        for part in reversed(expr.parts):
+            yield from _steps(part)
+    elif isinstance(expr, Power):
+        for _ in range(expr.exponent):
+            yield from _steps(expr.base)
+    else:
+        raise TypeError(f"not a map expression: {expr!r}")
+
+
 def lift_lipschitz_bound(expr: MapExpr) -> float:
     """Upper bound on the Lipschitz constant of the plane lift.
 
@@ -209,65 +220,30 @@ def lift_lipschitz_bound(expr: MapExpr) -> float:
     ulp tolerances in floating-point consistency tests (the wrap error of
     an input propagates with at most this factor).
     """
-    if isinstance(expr, (VShear, HShear)):
-        return 1.0 + abs(expr.power) * expr.profile.lipschitz()
-    if isinstance(expr, Translate):
-        return 1.0
-    if isinstance(expr, Compose):
-        out = 1.0
-        for part in expr.parts:
-            out *= lift_lipschitz_bound(part)
-        return out
-    if isinstance(expr, Power):
-        return lift_lipschitz_bound(expr.base) ** expr.exponent
-    raise TypeError(f"not a map expression: {expr!r}")
+    out = 1.0
+    for step in _steps(expr):
+        if not isinstance(step, Translate):
+            out *= 1.0 + abs(step.power) * step.profile.lipschitz()
+    return out
 
 
 def eval_lift(expr: MapExpr, p: tuple[float, float]) -> tuple[float, float]:
     """Apply the plane lift to a single point."""
-    x, y = float(p[0]), float(p[1])
-    if isinstance(expr, VShear):
-        return (x, y + expr.power * expr.profile(x))
-    if isinstance(expr, HShear):
-        return (x + expr.power * expr.profile(y), y)
-    if isinstance(expr, Translate):
-        return (x + expr.dx, y + expr.dy)
-    if isinstance(expr, Compose):
-        q = (x, y)
-        for part in reversed(expr.parts):
-            q = eval_lift(part, q)
-        return q
-    if isinstance(expr, Power):
-        q = (x, y)
-        for _ in range(expr.exponent):
-            q = eval_lift(expr.base, q)
-        return q
-    raise TypeError(f"not a map expression: {expr!r}")
+    out = eval_lift_array(expr, np.array([[float(p[0]), float(p[1])]]))
+    return (float(out[0, 0]), float(out[0, 1]))
 
 
 def eval_lift_array(expr: MapExpr, pts: np.ndarray) -> np.ndarray:
     """Apply the plane lift to an (N, 2) array of points."""
-    if isinstance(expr, VShear):
-        out = pts.copy()
-        out[:, 1] += expr.power * expr.profile.array(pts[:, 0])
-        return out
-    if isinstance(expr, HShear):
-        out = pts.copy()
-        out[:, 0] += expr.power * expr.profile.array(pts[:, 1])
-        return out
-    if isinstance(expr, Translate):
-        return pts + np.array([expr.dx, expr.dy])
-    if isinstance(expr, Compose):
-        out = pts
-        for part in reversed(expr.parts):
-            out = eval_lift_array(part, out)
-        return out
-    if isinstance(expr, Power):
-        out = pts
-        for _ in range(expr.exponent):
-            out = eval_lift_array(expr.base, out)
-        return out
-    raise TypeError(f"not a map expression: {expr!r}")
+    out = pts
+    for step in _steps(expr):
+        if isinstance(step, Translate):
+            out = out + np.array([step.dx, step.dy])
+            continue
+        src, dst = (0, 1) if isinstance(step, VShear) else (1, 0)
+        out = out.copy()
+        out[:, dst] += step.power * step.profile.array(out[:, src])
+    return out
 
 
 # ---------------------------------------------------------------------------

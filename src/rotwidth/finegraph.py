@@ -125,9 +125,6 @@ class RealizedCurve:
         pts = self.lifted_points
         return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
 
-    def torus_points(self) -> list[tuple[Fraction, Fraction]]:
-        return [(v.x % 1, v.y % 1) for v in self.lifted_points[:-1]]
-
     def bounding_box(self):
         xs = [v.x for v in self.lifted_points]
         ys = [v.y for v in self.lifted_points]
@@ -159,7 +156,7 @@ class RealizedCurve:
         return k if (k * p, k * q) == (di, dj) else None
 
     def _verify_simple(self):
-        segs = self.segments()
+        segs = [(p, q - p) for p, q in self.segments()]
         m = len(segs)
         xmin, ymin, xmax, ymax = self.bounding_box()
         irange = range(math.floor(xmin - xmax), math.ceil(xmax - xmin) + 1)
@@ -170,25 +167,23 @@ class RealizedCurve:
                 central = (di, dj) == (0, 0)
                 k = self._chain_shift(di, dj)
                 for a in range(m):
-                    p1, p2 = segs[a]
+                    p1, da = segs[a]
                     for b in range(m):
                         if central and b <= a:
                             continue
                         if k is not None and b + k * m == a:
                             continue  # the same chained segment
-                        kind = _segment_relation(p1, p2, segs[b][0] + off,
-                                                 segs[b][1] + off)
-                        if kind == "none":
+                        q1, db = segs[b]
+                        contact = _segment_contact(p1, da, q1 + off, db)
+                        if contact is None:
                             continue
-                        if kind == "proper":
+                        if contact != "overlap" and all(0 < c < 1 for c in contact):
                             raise NonSimpleCurveError(
                                 f"segments {a} and {b} (offset {di},{dj}) cross"
                             )
                         # endpoint contact: fine only between consecutive
                         # chained segments that do not double back
                         if k is not None and b + k * m in (a - 1, a + 1):
-                            da = p2 - p1
-                            db = segs[b][1] - segs[b][0]
                             if da.cross(db) != 0 or da.dot(db) > 0:
                                 continue
                         raise NonSimpleCurveError(
@@ -196,32 +191,30 @@ class RealizedCurve:
                         )
 
 
-def _segment_relation(p1: Point2Q, p2: Point2Q, q1: Point2Q, q2: Point2Q) -> str:
-    """Classify two closed segments: 'none', 'proper', or 'degenerate'.
+def _segment_contact(p1: Point2Q, d1: Point2Q, q1: Point2Q,
+                     d2: Point2Q) -> tuple[Fraction, Fraction] | str | None:
+    """Contact of the closed segments [p1, p1 + d1] and [q1, q1 + d2].
 
-    Proper means a transverse crossing interior to both segments.  Any
-    contact at an endpoint, and any collinear overlap, is degenerate.
+    Returns None when they do not meet, "overlap" when they are collinear
+    and share a point, and otherwise the exact parameters (t, u), both in
+    [0, 1], of the one common point p1 + t*d1 = q1 + u*d2.
     """
-    d1 = p2 - p1
-    d2 = q2 - q1
     denom = d1.cross(d2)
     w = q1 - p1
     if denom == 0:
         if d1.cross(w) != 0:
-            return "none"  # parallel, distinct lines
+            return None  # parallel, distinct lines
         # collinear: overlap iff parameter intervals intersect
-        dd = d1.dot(d1)
         t0 = d1.dot(w)
-        t1 = d1.dot(q2 - p1)
-        lo, hi = min(t0, t1), max(t0, t1)
-        return "degenerate" if (hi >= 0 and lo <= dd) else "none"
+        t1 = d1.dot(w + d2)
+        if max(t0, t1) >= 0 and min(t0, t1) <= d1.dot(d1):
+            return "overlap"
+        return None
     t = w.cross(d2) / denom
     u = w.cross(d1) / denom
-    if 0 < t < 1 and 0 < u < 1:
-        return "proper"
     if 0 <= t <= 1 and 0 <= u <= 1:
-        return "degenerate"  # endpoint contact
-    return "none"
+        return t, u
+    return None
 
 
 def _chained_neighbors(curve: RealizedCurve, j: int):
@@ -260,33 +253,23 @@ def torus_crossing_count(a: RealizedCurve, b: RealizedCurve) -> int:
     bxmin, bymin, bxmax, bymax = b.bounding_box()
     irange = range(math.floor(axmin - bxmax), math.ceil(axmax - bxmin) + 1)
     jrange = range(math.floor(aymin - bymax), math.ceil(aymax - bymin) + 1)
-    segs_a = a.segments()
-    segs_b = b.segments()
+    segs_a = [(p, q - p) for p, q in a.segments()]
+    segs_b = [(p, q - p) for p, q in b.segments()]
     count = 0
     for di in irange:
         for dj in jrange:
             off = point(di, dj)
-            for ia, (p1, p2) in enumerate(segs_a):
-                d1 = p2 - p1
-                for ib, (q1_, q2_) in enumerate(segs_b):
-                    q1, q2 = q1_ + off, q2_ + off
-                    d2 = q2 - q1
-                    denom = d1.cross(d2)
-                    w = q1 - p1
-                    if denom == 0:
-                        if d1.cross(w) == 0:
-                            dd = d1.dot(d1)
-                            t0 = d1.dot(w)
-                            t1 = d1.dot(q2 - p1)
-                            if max(t0, t1) >= 0 and min(t0, t1) <= dd:
-                                raise DegenerateIntersectionError(
-                                    f"collinear overlap at translate ({di}, {dj})"
-                                )
+            for ia, (p1, d1) in enumerate(segs_a):
+                for ib, (q1_, d2) in enumerate(segs_b):
+                    q1 = q1_ + off
+                    contact = _segment_contact(p1, d1, q1, d2)
+                    if contact is None:
                         continue
-                    t = w.cross(d2) / denom
-                    u = w.cross(d1) / denom
-                    if t < 0 or t > 1 or u < 0 or u > 1:
-                        continue
+                    if contact == "overlap":
+                        raise DegenerateIntersectionError(
+                            f"collinear overlap at translate ({di}, {dj})"
+                        )
+                    t, u = contact
                     a_interior = 0 < t < 1
                     b_interior = 0 < u < 1
                     if a_interior and b_interior:

@@ -55,7 +55,6 @@ class Field1D:
 
     fn: Callable
     name: str = "field"
-    smoothness: str = "C1"
 
     def __call__(self, y):
         return self.fn(y)
@@ -96,6 +95,15 @@ def _rhs(field: FlowField):
     raise TypeError(f"not a flow field: {field!r}")
 
 
+def _rk4_step(rhs, y, h: float):
+    """One classical RK4 step of size h (negative h steps backwards)."""
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
 def flow(field: FlowField, x, t: float, *, step: float = 1e-3):
     """Classical RK4 time-t flow map.
 
@@ -113,11 +121,7 @@ def flow(field: FlowField, x, t: float, *, step: float = 1e-3):
         n = max(1, math.ceil(abs(t) / step))
         h = t / n
         for _ in range(n):
-            k1 = rhs(work)
-            k2 = rhs(work + 0.5 * h * k1)
-            k3 = rhs(work + 0.5 * h * k2)
-            k4 = rhs(work + h * k3)
-            work = work + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            work = _rk4_step(rhs, work, h)
     if scalar and isinstance(field, Field1D):
         return float(work)
     return work
@@ -737,11 +741,7 @@ class ConleySection:
             prev_side = np.zeros(len(pts))
             crossings = np.zeros(len(pts), dtype=int)
             for _ in range(n):
-                k1 = rhs(state)
-                k2 = rhs(state + 0.5 * sgn * h * k1)
-                k3 = rhs(state + 0.5 * sgn * h * k2)
-                k4 = rhs(state + sgn * h * k3)
-                state = state + (sgn * h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
+                state = _rk4_step(rhs, state, sgn * h)
                 side = np.sign(state[:, 1] - self.level)
                 crossings += ((side != prev_side) & (prev_side != 0)).astype(int)
                 prev_side = np.where(side != 0, side, prev_side)

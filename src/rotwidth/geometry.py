@@ -124,9 +124,6 @@ class PrimitiveVector:
         if math.gcd(abs(self.a), abs(self.b)) != 1:
             raise GeometryError(f"({self.a}, {self.b}) is not primitive")
 
-    def as_tuple(self) -> tuple[int, int]:
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True)
 class UnimodularMatrix:

@@ -67,10 +67,6 @@ class SvgCanvas:
             head.append(f"<!-- {self.meta} -->")
         return "\n".join(head + self.elements + ["</svg>"]) + "\n"
 
-    def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.tostring())
-
 
 def rotation_set_svg(inner, outer, *, reference_box: float | None = None,
                      meta: str | None = None) -> str:

@@ -101,6 +101,12 @@ class TestRoots:
     def test_bad_rational(self, capsys):
         code, _, err = run_cli(capsys, "roots", "--ew", "x", "--length-upper", "2")
         assert code == 2
+        assert "not a rational" in err
+
+    def test_zero_denominator(self, capsys):
+        code, _, err = run_cli(capsys, "roots", "--ew", "3", "--length-upper", "1/0")
+        assert code == 2
+        assert "not a rational: '1/0'" in err
 
 
 class TestVerify:

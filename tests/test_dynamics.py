@@ -53,6 +53,22 @@ class TestEvalLift:
         p = (0.3, 0.7)
         assert eval_lift(ab, p) == eval_lift(VShear(prof, 1), eval_lift(HShear(prof, 1), p))
 
+    def test_power_of_composition_unrolls_rightmost_first(self):
+        prof = default_profile()
+        t, v, h = Translate(0.25, -0.375), VShear(prof, -2), HShear(prof, 1)
+        p = (0.3, 0.7)
+        q = p
+        for _ in range(3):
+            q = eval_lift(t, eval_lift(v, eval_lift(h, q)))
+        assert eval_lift(Power(Compose((t, v, h)), 3), p) == q
+
+    def test_power_lipschitz_bound_is_the_power(self):
+        e = Compose((Translate(0.25, -0.375), VShear(tent_profile(), -2),
+                     HShear(default_profile(), 1)))
+        for k in (1, 2, 5):
+            assert lift_lipschitz_bound(Power(e, k)) == pytest.approx(
+                lift_lipschitz_bound(e) ** k, rel=1e-12)
+
     def test_array_matches_scalar(self):
         expr = vnhn(2)
         pts = np.array([[0.12, 0.9], [0.5, 0.5], [0.77, 0.01]])

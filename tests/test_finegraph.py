@@ -139,6 +139,71 @@ class TestFineAdjacency:
             torus_crossing_count(diamond, line)
 
 
+class TestSegmentContacts:
+    """Each contact case of the exact crossing count and the simplicity
+    check, pinned by outcome, exception type and message."""
+
+    # a polyline of class (0, 1) whose joint (1/2, 1/2) lies on y = 1/2,
+    # with its neighbours on opposite sides of that line
+    ZIGZAG = [point(F(1, 3), 0), point(F(1, 2), F(1, 2)), point(F(1, 3), 1)]
+
+    def test_collinear_overlap_raises(self):
+        a = straight_curve(CurveClass(1, 0), (0, F(1, 2)))
+        b = straight_curve(CurveClass(1, 0), (F(1, 3), F(1, 2)))
+        with pytest.raises(DegenerateIntersectionError, match="collinear overlap"):
+            torus_crossing_count(a, b)
+
+    def test_partial_collinear_overlap_raises(self):
+        # b's horizontal segment starts left of a's and ends inside it
+        a = RealizedCurve([point(0, 0), point(F(1, 4), F(1, 2)), point(F(1, 2), F(1, 2)),
+                           point(1, 0)], CurveClass(1, 0))
+        b = RealizedCurve([point(0, F(1, 2)), point(F(3, 8), F(1, 2)),
+                           point(F(3, 4), F(3, 4)), point(1, F(1, 2))], CurveClass(1, 0))
+        with pytest.raises(DegenerateIntersectionError, match="collinear overlap"):
+            torus_crossing_count(a, b)
+
+    def test_joint_on_joint_raises(self):
+        a = straight_curve(CurveClass(1, 0), (0, F(1, 2)))
+        b = straight_curve(CurveClass(0, 1), (0, F(1, 2)))
+        with pytest.raises(DegenerateIntersectionError, match="joint-on-joint"):
+            torus_crossing_count(a, b)
+
+    def test_crossing_through_a_joint_of_b_counts_once(self):
+        # the joint starts segment 1 of b: the u == 0 branch
+        line = straight_curve(CurveClass(1, 0), (F(1, 7), F(1, 2)))
+        zigzag = RealizedCurve(self.ZIGZAG, CurveClass(0, 1))
+        assert torus_crossing_count(line, zigzag) == 1
+
+    def test_crossing_through_a_joint_of_a_counts_once(self):
+        # the joint starts segment 1 of a: the t == 0 branch
+        line = straight_curve(CurveClass(1, 0), (F(1, 7), F(1, 2)))
+        zigzag = RealizedCurve(self.ZIGZAG, CurveClass(0, 1))
+        assert torus_crossing_count(zigzag, line) == 1
+
+    def test_crossing_through_the_wraparound_joint_counts_once(self):
+        # the joint is v_0, whose chained predecessor is v_{m-1} - (p, q)
+        line = straight_curve(CurveClass(1, 0), (F(1, 7), F(1, 2)))
+        zigzag = RealizedCurve([point(F(1, 2), F(1, 2)), point(F(1, 3), 1),
+                                point(F(1, 2), F(3, 2))], CurveClass(0, 1))
+        assert torus_crossing_count(line, zigzag) == 1
+        assert torus_crossing_count(zigzag, line) == 1
+
+    def test_consecutive_collinear_segments_accepted(self):
+        # doubles back in x, so the simplicity check runs; segments 0 and 1
+        # are collinear and continue in the same direction
+        pts = [point(0, 0), point(F(1, 4), 0), point(F(1, 2), 0),
+               point(F(3, 8), F(1, 4)), point(1, 0)]
+        curve = RealizedCurve(pts, CurveClass(1, 0))
+        assert curve.lifted_points == tuple(pts)
+
+    def test_non_consecutive_endpoint_touch_raises(self):
+        # segment 3 passes through the joint (1/2, 0) ending segment 0
+        pts = [point(0, 0), point(F(1, 2), 0), point(F(1, 2), F(1, 2)),
+               point(F(1, 4), F(1, 4)), point(F(3, 4), F(-1, 4)), point(1, 0)]
+        with pytest.raises(NonSimpleCurveError, match="touch degenerately"):
+            RealizedCurve(pts, CurveClass(1, 0))
+
+
 class TestChainBound:
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_bound_two_with_single_crossing(self, n):
