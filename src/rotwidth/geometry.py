@@ -1,10 +1,13 @@
 """Exact rational plane geometry: convex polygons, directional widths, and
 the lattice ("essential") width.
 
-Every coordinate in this module is a `fractions.Fraction`, and every
-predicate, width, and lattice-point query is exact.  Floating point appears
-only in `hausdorff_distance`, which is a diagnostic for the numerical
-estimators.
+Vertices are stored as `fractions.Fraction` coordinates, and every
+predicate, width, and lattice-point query is exact.  The hot loops (the
+width-norm reduction and the lattice-point scan) clear denominators once
+per call and run on the vertices scaled by D, the lcm of the vertex
+denominators, as Python ints; a single Fraction is built from the result.
+Floating point appears only in `hausdorff_distance`, which is a diagnostic
+for the numerical estimators.
 
 The essential width of a compact convex set is the smallest horizontal
 width it can be given by a unimodular change of basis of the integer
@@ -283,24 +286,41 @@ def apply_unimodular(A: UnimodularMatrix, C: ConvexPolygonQ) -> ConvexPolygonQ:
     return ConvexPolygonQ([A.apply(v) for v in C.vertices])
 
 
-def _min_width_sq(C: ConvexPolygonQ) -> Fraction:
-    """Exact square of the minimal Euclidean width of a dimension-2 polygon.
+def _scaled_vertices(C: ConvexPolygonQ) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(D*x, D*y), ...]) for the vertices of C, where D is the lcm of
+    the vertex denominators, so every scaled coordinate is an int."""
+    D = math.lcm(*(c.denominator for v in C.vertices for c in (v.x, v.y)))
+    return D, [(v.x.numerator * (D // v.x.denominator),
+                v.y.numerator * (D // v.y.denominator)) for v in C.vertices]
+
+
+def _scaled_width(pts: Sequence[tuple[int, int]], a: int, b: int) -> int:
+    """D times the width along (a, b) of the polygon with D-scaled vertices."""
+    vals = [a * x + b * y for x, y in pts]
+    return max(vals) - min(vals)
+
+
+def _min_width_sq(D: int, pts: Sequence[tuple[int, int]]) -> Fraction:
+    """Exact square of the minimal Euclidean width of a dimension-2 polygon,
+    given by its D-scaled vertices in counter-clockwise order.
 
     The minimal width of a convex polygon is attained normal to one of its
-    edges, so it is min over edges of (max vertex distance to the edge
-    line).  Returned as an exact rational to keep the oracle radius exact.
+    edges, so it is min over edges e of reach^2/|e|^2, where reach is the
+    largest cross product of e with a vertex offset.  On scaled vertices
+    reach grows by D^2 and |e|^2 by D^2, so the minimum is compared in ints
+    and returned as reach^2 / (|e|^2 * D^2) to keep the oracle radius exact.
     """
-    if C.dimension < 2:
+    if len(pts) < 3:
         raise DegeneratePolygonError("minimal width needs a full-dimensional polygon")
-    best: Fraction | None = None
-    for a, b in C.edges():
-        e = b - a
-        length_sq = e.dot(e)
-        reach = max(e.cross(v - a) for v in C.vertices)  # >= 0 for CCW order
-        cand = reach * reach / length_sq
-        if best is None or cand < best:
-            best = cand
-    return best
+    best_r2 = best_len_sq = None
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        ex, ey = bx - ax, by - ay
+        len_sq = ex * ex + ey * ey
+        reach = max(ex * (y - ay) - ey * (x - ax) for x, y in pts)  # >= 0 for CCW
+        r2 = reach * reach
+        if best_len_sq is None or r2 * best_len_sq < best_r2 * len_sq:
+            best_r2, best_len_sq = r2, len_sq
+    return Fraction(best_r2, best_len_sq * D * D)
 
 
 @dataclass
@@ -321,11 +341,13 @@ class EWResult:
     reduced_basis: tuple[tuple[int, int], tuple[int, int]] | None
 
 
-def _argmin_on_line(C: ConvexPolygonQ, v: tuple[int, int], u: tuple[int, int]):
-    """Integer k minimizing width along v + k*u (the map is convex in k)."""
+def _argmin_on_line(pts: Sequence[tuple[int, int]], v: tuple[int, int],
+                    u: tuple[int, int]):
+    """Integer k minimizing the scaled width along v + k*u (the map is
+    convex in k)."""
 
-    def f(k: int) -> Fraction:
-        return _width_int(C, v[0] + k * u[0], v[1] + k * u[1])
+    def f(k: int) -> int:
+        return _scaled_width(pts, v[0] + k * u[0], v[1] + k * u[1])
 
     f0 = f(0)
     fp, fm = f(1), f(-1)
@@ -357,26 +379,28 @@ def _argmin_on_line(C: ConvexPolygonQ, v: tuple[int, int], u: tuple[int, int]):
     return best_k, best_f
 
 
-def _width_reduced_basis(C: ConvexPolygonQ):
-    """Generalized Gauss reduction of the standard basis under the width norm.
+def _width_reduced_basis(pts: Sequence[tuple[int, int]]):
+    """Generalized Gauss reduction of the standard basis under the width norm
+    of the polygon with D-scaled vertices `pts`.
 
     Returns a determinant-one pair (u, v) with width(u) <= width(v) <=
-    width(v + k*u) for every integer k.  For a full-dimensional C this is a
-    Gauss-reduced basis of the width norm, so u is a shortest nonzero
-    lattice vector (Kaib & Schnorr, J. Algorithms 21, 1996).
+    width(v + k*u) for every integer k.  Scaling by D > 0 scales every width
+    alike, so the basis is that of the unscaled polygon.  For a
+    full-dimensional polygon this is a Gauss-reduced basis of the width
+    norm, so u is a shortest nonzero lattice vector (Kaib & Schnorr, J.
+    Algorithms 21, 1996).
 
-    Termination: all widths lie in (1/D)*Z, where D is the lcm of the vertex
-    denominators, and are positive.  Every pass either stops or replaces v
-    by a vector of strictly smaller width, so width(u) + width(v) strictly
-    decreases on a discrete set bounded below and the loop ends.
+    Termination: all scaled widths are positive ints.  Every pass either
+    stops or replaces v by a vector of strictly smaller width, so width(u) +
+    width(v) strictly decreases on a set bounded below and the loop ends.
     """
     u, v = (1, 0), (0, 1)
-    nu, nv = _width_int(C, *u), _width_int(C, *v)
+    nu, nv = _scaled_width(pts, *u), _scaled_width(pts, *v)
     while True:
         if nu > nv:
             u, v = v, u
             nu, nv = nv, nu
-        k, nk = _argmin_on_line(C, v, u)
+        k, nk = _argmin_on_line(pts, v, u)
         if k != 0 and nk < nv:
             v = (v[0] + k * u[0], v[1] + k * u[1])
             nv = nk
@@ -414,19 +438,17 @@ def essential_width_detail(C: ConvexPolygonQ) -> EWResult:
     """
     if C.dimension == 0:
         return EWResult(Fraction(0), (1, 0), 0, 1, None)
+    D, pts = _scaled_vertices(C)
     if C.dimension == 1:
-        a, b = C.vertices
-        d = b - a
-        den = d.x.denominator * d.y.denominator
-        ix, iy = int(d.x * den), int(d.y * den)
-        g = math.gcd(abs(ix), abs(iy))
-        ix, iy = ix // g, iy // g
-        direction = _canonical_direction(iy, -ix)  # annihilates the segment
+        (ax, ay), (bx, by) = pts
+        g = math.gcd(bx - ax, by - ay)
+        # the primitive vector normal to the segment annihilates it
+        direction = _canonical_direction((by - ay) // g, (ax - bx) // g)
         return EWResult(Fraction(0), direction, 0, max(map(abs, direction)), None)
 
-    u, v = _width_reduced_basis(C)
-    best = _width_int(C, *u)
-    oracle_radius = max(1, _ceil_sqrt(best * best / _min_width_sq(C)))
+    u, v = _width_reduced_basis(pts)
+    best = Fraction(_scaled_width(pts, *u), D)
+    oracle_radius = max(1, _ceil_sqrt(best * best / _min_width_sq(D, pts)))
     return EWResult(best, _canonical_direction(*u), 0, oracle_radius, (u, v))
 
 
@@ -457,28 +479,50 @@ def ew_oracle(C: ConvexPolygonQ, radius: int) -> Fraction:
     return best
 
 
+def _lattice_columns(C: ConvexPolygonQ, strict: bool) -> list[tuple[int, int]]:
+    """Integer points of C (of its interior when `strict`), column by column
+    with y ascending.
+
+    A point lies in C iff it lies on the inner side of every edge line.  On
+    the D-scaled vertices, the edge from (ax, ay) to (bx, by) with
+    dx = bx - ax != 0 bounds the integer y in column x by the line value
+    (dy*D*x + dx*ay - dy*ax) / (D*dx): from below when dx > 0 (the lower
+    chain of a counter-clockwise polygon) and from above when dx < 0.
+    Vertical edges bound only x, which the column range does.  The lines
+    y = ymin and y = ymax bound y for points and vertical segments, which
+    have no other edge.  Each bound (p*x + q) / r, with r > 0, becomes a
+    floor division: ceil(t/r) = (t + r - 1) // r, floor(t/r) + 1 =
+    (t + r) // r, ceil(t/r) - 1 = (t - 1) // r.
+    """
+    D, pts = _scaled_vertices(C)
+    s = 1 if strict else 0
+    xs = [x for x, _ in pts]
+    ys = [y for _, y in pts]
+    lower = [(0, min(ys) + D - 1 + s, D)]
+    upper = [(0, max(ys) - s, D)]
+    for (ax, ay), (bx, by) in zip(pts, pts[1:] + pts[:1]):
+        dx, dy = bx - ax, by - ay
+        p, q, r = dy * D, dx * ay - dy * ax, dx * D
+        if dx > 0:
+            lower.append((p, q + r - 1 + s, r))
+        elif dx < 0:
+            upper.append((-p, -q - s, -r))
+    out = []
+    for x in range((min(xs) + D - 1 + s) // D, (max(xs) - s) // D + 1):
+        lo = max((p * x + q) // r for p, q, r in lower)
+        hi = min((p * x + q) // r for p, q, r in upper)
+        out.extend((x, y) for y in range(lo, hi + 1))
+    return out
+
+
 def interior_lattice_points(C: ConvexPolygonQ) -> list[tuple[int, int]]:
     """Integer points strictly inside C (empty for dimension <= 1)."""
-    if C.dimension <= 1:
-        return []
-    xmin, ymin, xmax, ymax = C.bounding_box()
-    out = []
-    for ix in range(math.floor(xmin) + 1, math.ceil(xmax)):
-        for iy in range(math.floor(ymin) + 1, math.ceil(ymax)):
-            if C.contains(point(ix, iy), strict=True):
-                out.append((ix, iy))
-    return out
+    return _lattice_columns(C, strict=True)
 
 
 def closed_lattice_points(C: ConvexPolygonQ) -> list[tuple[int, int]]:
     """Integer points of C including its boundary."""
-    xmin, ymin, xmax, ymax = C.bounding_box()
-    out = []
-    for ix in range(math.ceil(xmin), math.floor(xmax) + 1):
-        for iy in range(math.ceil(ymin), math.floor(ymax) + 1):
-            if C.contains(point(ix, iy)):
-                out.append((ix, iy))
-    return out
+    return _lattice_columns(C, strict=False)
 
 
 def _has_three_nonaligned(pts: Sequence[tuple[int, int]]) -> bool:

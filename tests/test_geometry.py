@@ -13,6 +13,7 @@ from rotwidth.geometry import (
     UnimodularMatrix,
     apply_unimodular,
     check_compare_width,
+    closed_lattice_points,
     convex_hull,
     dilate_polygon_linf,
     directional_width,
@@ -184,6 +185,46 @@ class TestLatticePoints:
 
     def test_segment_has_no_interior(self):
         assert interior_lattice_points(convex_hull([point(0, 0), point(5, 0)])) == []
+
+    def test_vertical_edge_on_integer_x(self):
+        # left edge x = 0 and right edge x = 3; both are boundary only
+        C = ConvexPolygonQ([point(0, 0), point(3, "1/2"), point(3, "7/2"),
+                            point(0, 2)])
+        assert interior_lattice_points(C) == [(1, 1), (1, 2), (2, 1), (2, 2)]
+        # (2, 3) lies on the top edge y = 2 + x/2
+        assert closed_lattice_points(C) == [
+            (0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 1), (2, 2), (2, 3),
+            (3, 1), (3, 2), (3, 3)]
+
+    def test_vertices_on_lattice_points(self):
+        C = ConvexPolygonQ([point(0, 0), point(4, 0), point(0, 4)])
+        assert interior_lattice_points(C) == [(1, 1), (1, 2), (2, 1)]
+        assert closed_lattice_points(C) == [
+            (x, y) for x in range(5) for y in range(5 - x)]
+
+    def test_interior_with_one_column(self):
+        C = ConvexPolygonQ([point("1/2", "-3/2"), point("3/2", "-3/2"),
+                            point("3/2", "3/2"), point("1/2", "3/2")])
+        assert interior_lattice_points(C) == [(1, -1), (1, 0), (1, 1)]
+        assert closed_lattice_points(C) == [(1, -1), (1, 0), (1, 1)]
+
+    def test_interior_with_no_column(self):
+        # x runs over [0, 1]: both integer columns lie on the boundary
+        C = ConvexPolygonQ([point(0, 0), point(1, 0), point(1, 5), point(0, 5)])
+        assert interior_lattice_points(C) == []
+        assert closed_lattice_points(C) == [(x, y) for x in (0, 1) for y in range(6)]
+        # x runs over [1/4, 3/4]: no integer column at all
+        thin = ConvexPolygonQ([point("1/4", 0), point("3/4", 0), point("1/2", 5)])
+        assert interior_lattice_points(thin) == []
+        assert closed_lattice_points(thin) == []
+
+    def test_degenerate_closed_points(self):
+        assert closed_lattice_points(convex_hull([point(2, -1)])) == [(2, -1)]
+        assert closed_lattice_points(convex_hull([point("1/2", 1)])) == []
+        vertical = convex_hull([point(1, "-1/2"), point(1, "5/2")])
+        assert closed_lattice_points(vertical) == [(1, 0), (1, 1), (1, 2)]
+        slanted = convex_hull([point(-1, -2), point(3, 6)])
+        assert closed_lattice_points(slanted) == [(x, 2 * x) for x in range(-1, 4)]
 
 
 class TestThreeNonaligned:

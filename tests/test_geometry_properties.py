@@ -1,6 +1,6 @@
 """Property tests for the essential width: invariance, homogeneity,
-monotonicity, oracle equivalence, the reduced-basis certificate, and the
-interior-points bounds."""
+monotonicity, oracle equivalence, the reduced-basis certificate, the
+interior-points bounds, and the lattice-point scan against brute force."""
 
 import math
 import random
@@ -18,6 +18,7 @@ from rotwidth.geometry import (
     essential_width,
     essential_width_detail,
     ew_oracle,
+    interior_lattice_points,
     point,
 )
 from rotwidth.verify import random_unimodular
@@ -56,6 +57,18 @@ unimodulars = st.builds(
 )
 
 ratios = st.sampled_from([F(1, 2), F(2), F(7, 3), F(3, 5)])
+
+# Polygons small enough for a bounding-box scan: rational ones, and integer
+# ones whose vertical edges, lattice vertices and degenerate hulls
+# (points, vertical and horizontal segments) hit every boundary case.
+scan_polygons = st.one_of(
+    st.lists(st.builds(point,
+                       st.builds(F, st.integers(-40, 40), st.integers(1, 8)),
+                       st.builds(F, st.integers(-40, 40), st.integers(1, 8))),
+             min_size=1, max_size=7).map(ConvexPolygonQ),
+    st.lists(st.builds(point, st.integers(-6, 6), st.integers(-6, 6)),
+             min_size=1, max_size=5).map(ConvexPolygonQ),
+)
 
 
 @settings(max_examples=150, deadline=None)
@@ -160,9 +173,60 @@ def _xgcd(a, b):
 
 
 @settings(max_examples=150, deadline=None)
-@given(polygons)
+@given(st.one_of(polygons, sheared_polygons))
 def test_compare_width_implications(C):
     assert check_compare_width(C).ok
+
+
+def _fraction_min_width_sq(C):
+    """Square of the minimal Euclidean width from Fraction edge vectors:
+    over edges, the largest squared vertex distance to the edge line."""
+    best = None
+    for a, b in C.edges():
+        e = b - a
+        reach = max(e.cross(v - a) for v in C.vertices)
+        cand = reach * reach / e.dot(e)
+        if best is None or cand < best:
+            best = cand
+    return best
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(full_polygons, sheared_polygons))
+def test_oracle_radius_matches_fraction_edge_formula(C):
+    detail = essential_width_detail(C)
+    q = detail.value * detail.value / _fraction_min_width_sq(C)
+    r = math.isqrt(q.numerator // q.denominator)
+    while r * r < q:
+        r += 1
+    assert detail.oracle_radius == max(1, r)
+
+
+def _box_filter(C, strict):
+    """Integer points of the bounding box that `contains` accepts, in
+    column-major order with y ascending."""
+    xs = [v.x for v in C.vertices]
+    ys = [v.y for v in C.vertices]
+    return [(ix, iy)
+            for ix in range(math.floor(min(xs)), math.ceil(max(xs)) + 1)
+            for iy in range(math.floor(min(ys)), math.ceil(max(ys)) + 1)
+            if C.contains(point(ix, iy), strict=strict)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(scan_polygons)
+def test_lattice_scan_matches_bounding_box_filter(C):
+    assert interior_lattice_points(C) == _box_filter(C, strict=True)
+    assert closed_lattice_points(C) == _box_filter(C, strict=False)
+
+
+@settings(max_examples=60, deadline=None)
+@given(sheared_polygons, unimodulars, st.integers(-5, 5), st.integers(-5, 5))
+def test_interior_points_equivariant_under_unimodular_and_translation(C, A, zx, zy):
+    moved = apply_unimodular(A, C).translate(point(zx, zy))
+    want = sorted((A.a * x + A.b * y + zx, A.c * x + A.d * y + zy)
+                  for x, y in interior_lattice_points(C))
+    assert sorted(interior_lattice_points(moved)) == want
 
 
 @settings(max_examples=100, deadline=None)
