@@ -3,120 +3,3 @@ estimation for shear-built torus maps, translation-length bounds with
 no-root certificates, and slowdown-flow experiments."""
 
 __version__ = "0.1.0"
-
-from .geometry import (
-    ConvexPolygonQ,
-    Point2Q,
-    PrimitiveVector,
-    UnimodularMatrix,
-    apply_unimodular,
-    check_compare_width,
-    convex_hull,
-    directional_width,
-    essential_width,
-    essential_width_detail,
-    ew_oracle,
-    hausdorff_distance,
-    has_three_nonaligned_interior,
-    interior_lattice_points,
-    load_polygon,
-    point,
-    save_polygon,
-)
-from .dynamics import (
-    Compose,
-    HShear,
-    Power,
-    Translate,
-    VShear,
-    displacement,
-    eval_lift,
-    power_scaling_check,
-    rotation_set_estimate,
-    rotation_vector_estimate,
-    tent_profile,
-    verify_displacement_box,
-    vh_power,
-    vnhn,
-)
-from .finegraph import (
-    CurveClass,
-    RealizedCurve,
-    certify_no_roots,
-    chain_bound_vnhn,
-    fine_adjacent,
-    intersection_number,
-    length_lower_bound,
-    m_bound,
-    t0_constant,
-)
-from .flows import (
-    AnnulusField,
-    ConleySection,
-    Field1D,
-    annulus_model,
-    box_profile,
-    conjugate_to_constant,
-    equivariant_arc_conjugacy,
-    flow,
-    slowdown_conjugacy_1d,
-    stopping_limit_experiment,
-    verify_conjugacy,
-)
-from .mapdsl import parse_map
-
-__all__ = [
-    "__version__",
-    "AnnulusField",
-    "Compose",
-    "ConleySection",
-    "ConvexPolygonQ",
-    "CurveClass",
-    "Field1D",
-    "HShear",
-    "Point2Q",
-    "Power",
-    "PrimitiveVector",
-    "RealizedCurve",
-    "Translate",
-    "UnimodularMatrix",
-    "VShear",
-    "annulus_model",
-    "apply_unimodular",
-    "box_profile",
-    "certify_no_roots",
-    "chain_bound_vnhn",
-    "check_compare_width",
-    "conjugate_to_constant",
-    "convex_hull",
-    "directional_width",
-    "displacement",
-    "equivariant_arc_conjugacy",
-    "essential_width",
-    "essential_width_detail",
-    "eval_lift",
-    "ew_oracle",
-    "fine_adjacent",
-    "flow",
-    "hausdorff_distance",
-    "has_three_nonaligned_interior",
-    "interior_lattice_points",
-    "intersection_number",
-    "length_lower_bound",
-    "load_polygon",
-    "m_bound",
-    "parse_map",
-    "point",
-    "power_scaling_check",
-    "rotation_set_estimate",
-    "rotation_vector_estimate",
-    "save_polygon",
-    "slowdown_conjugacy_1d",
-    "stopping_limit_experiment",
-    "t0_constant",
-    "tent_profile",
-    "verify_conjugacy",
-    "verify_displacement_box",
-    "vh_power",
-    "vnhn",
-]

@@ -22,7 +22,7 @@ V^n H^n and their displacement vectors exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
@@ -339,7 +339,7 @@ class RotationSetEstimate:
     inner_hull is the hull of orbit rotation vectors passing the
     convergence proxy; outer_hull is the hull of all sampled averages
     dilated by (observed one-step displacement bound)/n.  The outer hull is
-    a heuristic proxy, not a certified enclosure: `certified` stays False.
+    a heuristic proxy, not a certified enclosure.
     """
 
     inner_hull: ConvexPolygonQ
@@ -352,7 +352,6 @@ class RotationSetEstimate:
     converged_fraction: float
     max_tail_spread: float
     step_bound: float
-    certified: bool = field(default=False)
 
 
 def _grid_points(grid: int, sampler: str, seed: int) -> np.ndarray:

@@ -9,6 +9,13 @@ exact rational vertices v_0 .. v_m with v_m = v_0 + (p, q).  Crossing
 counts use exact rational segment intersection; tangential or
 vertex-touching contacts are rejected rather than guessed at.
 
+The chain bound |V^n H^n| <= 2 is proved from the structure of the word,
+not sampled: the inner factor is checked to be made of horizontal shears,
+so it fixes the horizontal circle alpha, and the image of alpha is then a
+graph meeting the vertical circle beta once; only alpha . beta = 1 is
+counted.  The independent intersection oracle uses one offset that a
+short lemma shows cannot degenerate.
+
 The quantitative constants live at the bottom: the width-to-length
 constant 1/max(888c, 1110), the imported curve-graph constant 1/222, and
 the certificate arithmetic ruling out p/q-th roots.
@@ -29,8 +36,8 @@ from .dynamics import (
     MapExpr,
     Power,
     Profile,
-    Translate,
     VShear,
+    _steps,
     default_profile,
     eval_lift_array,
 )
@@ -56,12 +63,10 @@ class ChainVerificationError(RuntimeError):
     offending count.
     """
 
-    def __init__(self, stage: str, detail: str, *, crossing_count: int | None = None,
-                 max_deviation: float | None = None):
+    def __init__(self, stage: str, detail: str, *, crossing_count: int | None = None):
         super().__init__(f"{stage}: {detail}")
         self.stage = stage
         self.crossing_count = crossing_count
-        self.max_deviation = max_deviation
 
 
 @dataclass(frozen=True)
@@ -102,7 +107,7 @@ class RealizedCurve:
     __slots__ = ("lifted_points", "curve_class", "provenance")
 
     def __init__(self, lifted_points: Sequence[Point2Q], curve_class: CurveClass,
-                 provenance: str = "", *, check_simple: bool = True):
+                 provenance: str = ""):
         pts = list(lifted_points)
         if len(pts) < 2:
             raise CurveError("a curve needs at least two polyline points")
@@ -118,7 +123,7 @@ class RealizedCurve:
         self.lifted_points = tuple(cleaned)
         self.curve_class = curve_class
         self.provenance = provenance
-        if check_simple and not self._is_monotone_graph():
+        if not self._is_monotone_graph():
             self._verify_simple()
 
     def segments(self):
@@ -291,30 +296,6 @@ def torus_crossing_count(a: RealizedCurve, b: RealizedCurve) -> int:
     return count
 
 
-def crossings_with_vertical_circle(curve: RealizedCurve, x0: Fraction) -> int:
-    """Crossings of a curve with the vertical circle {x = x0} (exact).
-
-    The circle lifts to the lines x = x0 + k; a polyline segment crosses
-    one of them transversally when x0 + k lies strictly inside its
-    x-extent.  A segment endpoint on the line, or a vertical segment at
-    the line, is a degenerate contact.
-    """
-    x0 = to_rational(x0)
-    count = 0
-    for p1, p2 in curve.segments():
-        lo, hi = sorted((p1.x, p2.x))
-        k_lo = math.ceil(lo - x0)
-        k_hi = math.floor(hi - x0)
-        for k in range(k_lo, k_hi + 1):
-            xk = x0 + k
-            if xk == lo or xk == hi:
-                raise DegenerateIntersectionError(
-                    f"segment endpoint on the circle x = {x0} + {k}"
-                )
-            count += 1
-    return count
-
-
 def straight_curve(cls: CurveClass, offset: Point2Q | tuple = (0, 0)) -> RealizedCurve:
     """The straight-line (geodesic) representative through `offset`."""
     if not isinstance(offset, Point2Q):
@@ -324,7 +305,7 @@ def straight_curve(cls: CurveClass, offset: Point2Q | tuple = (0, 0)) -> Realize
 
 
 def line_image_curve(expr: MapExpr, cls: CurveClass, offset: Point2Q | tuple,
-                     samples: int = 256, *, check_simple: bool = True) -> RealizedCurve:
+                     samples: int = 256) -> RealizedCurve:
     """Image of a straight representative under a lift, as a sampled
     polyline with vertices snapped to exact rationals.
 
@@ -342,48 +323,44 @@ def line_image_curve(expr: MapExpr, cls: CurveClass, offset: Point2Q | tuple,
     img = eval_lift_array(expr, base)
     pts = [point(Fraction(float(x)), Fraction(float(y))) for x, y in img[:-1]]
     pts.append(pts[0] + cls.as_point())
-    return RealizedCurve(pts, cls, provenance=f"image of ({cls.p},{cls.q})",
-                         check_simple=check_simple)
+    return RealizedCurve(pts, cls, provenance=f"image of ({cls.p},{cls.q})")
 
 
-_GENERIC_OFFSETS = [
-    (Fraction(1, 7), Fraction(2, 9), Fraction(3, 11), Fraction(5, 13)),
-    (Fraction(2, 17), Fraction(3, 19), Fraction(5, 23), Fraction(7, 29)),
-    (Fraction(1, 31), Fraction(4, 37), Fraction(6, 41), Fraction(8, 43)),
-]
+def geometric_intersection_count(c1: CurveClass, c2: CurveClass) -> int:
+    """Independent crossing-count oracle via straight representatives.
 
+    Counts the transverse crossings of the segment from 0 to (p, q) with
+    every integer translate of the segment from delta to delta + (r, s),
+    where delta = (1/M, 1/M^2) and M = |p| + |q| + |r| + |s| + 2.  This
+    offset cannot degenerate: a segment endpoint lies on a translate of the
+    other line only if delta x (r, s) or delta x (p, q) is an integer, and
+    delta x (r, s) = (sM - r)/M^2 with 0 < |sM - r| < M^2 (likewise for
+    (p, q)).  The same condition rules out collinear parallel lines.
+    Agrees with `intersection_number` but never uses its formula.
 
-def _straight_crossings_fast(c1: CurveClass, o1: Point2Q,
-                             c2: CurveClass, o2: Point2Q) -> int:
-    """Exact crossing count of two straight representatives.
-
-    Clears denominators so every intersection test is an int64 sign check,
-    then solves the one-segment-versus-all-translates systems vectorized.
-    Semantics match `torus_crossing_count` on the same curves (interior
-    crossings only; parameter hits on segment endpoints are degenerate).
+    Every test is an int64 sign check: with the offsets scaled by M^2 and
+    the class vectors left unscaled, every product stays below M^4, so
+    classes with 2 M^4 >= 2^63 are refused with CurveError.
     """
-    den = math.lcm(o1.x.denominator, o1.y.denominator,
-                   o2.x.denominator, o2.y.denominator)
-    p1 = np.array([int(o1.x * den), int(o1.y * den)], dtype=np.int64)
-    q1 = np.array([int(o2.x * den), int(o2.y * den)], dtype=np.int64)
-    d1 = np.array([c1.p * den, c1.q * den], dtype=np.int64)
-    d2 = np.array([c2.p * den, c2.q * den], dtype=np.int64)
-    denom = int(d1[0] * d2[1] - d1[1] * d2[0])
-    i_lo = math.floor(o1.x - o2.x + min(0, c1.p) - max(0, c2.p))
-    i_hi = math.ceil(o1.x - o2.x + max(0, c1.p) - min(0, c2.p))
-    j_lo = math.floor(o1.y - o2.y + min(0, c1.q) - max(0, c2.q))
-    j_hi = math.ceil(o1.y - o2.y + max(0, c1.q) - min(0, c2.q))
-    ii, jj = np.meshgrid(np.arange(i_lo, i_hi + 1, dtype=np.int64),
-                         np.arange(j_lo, j_hi + 1, dtype=np.int64),
-                         indexing="ij")
-    wx = q1[0] + ii * den - p1[0]
-    wy = q1[1] + jj * den - p1[1]
+    p, q, r, s = c1.p, c1.q, c2.p, c2.q
+    M = abs(p) + abs(q) + abs(r) + abs(s) + 2
+    if 2 * M**4 >= 2**63:
+        raise CurveError(f"({p},{q}) x ({r},{s}) is too large for the int64 oracle")
+    den = M * M
+    # translates (i, j) whose segment can reach the first one's box
+    ii, jj = np.meshgrid(
+        np.arange(min(0, p) - max(0, r) - 1, max(0, p) - min(0, r) + 1, dtype=np.int64),
+        np.arange(min(0, q) - max(0, s) - 1, max(0, q) - min(0, s) + 1, dtype=np.int64),
+        indexing="ij")
+    wx = ii * den + M  # den * (delta + (i, j))
+    wy = jj * den + 1
+    denom = den * (p * s - q * r)
     if denom == 0:
-        if np.any(wx * d1[1] == wy * d1[0]):
+        if np.any(wx * q == wy * p):
             raise DegenerateIntersectionError("collinear straight representatives")
         return 0
-    t_num = wx * d2[1] - wy * d2[0]
-    u_num = wx * d1[1] - wy * d1[0]
+    t_num = wx * s - wy * r
+    u_num = wx * q - wy * p
     if denom < 0:
         t_num, u_num, denom = -t_num, -u_num, -denom
     on_edge = ((t_num == 0) | (t_num == denom)) & (u_num >= 0) & (u_num <= denom)
@@ -392,25 +369,6 @@ def _straight_crossings_fast(c1: CurveClass, o1: Point2Q,
         raise DegenerateIntersectionError("crossing on a segment endpoint")
     inside = (t_num > 0) & (t_num < denom) & (u_num > 0) & (u_num < denom)
     return int(np.count_nonzero(inside))
-
-
-def geometric_intersection_count(c1: CurveClass, c2: CurveClass) -> int:
-    """Independent crossing-count oracle via straight representatives.
-
-    Builds geodesic representatives at generic rational offsets and counts
-    transverse crossings exactly, retrying with fresh offsets if a contact
-    degenerates.  Agrees with `intersection_number` but never uses its
-    formula.
-    """
-    last: Exception | None = None
-    for ox1, oy1, ox2, oy2 in _GENERIC_OFFSETS:
-        try:
-            return _straight_crossings_fast(c1, point(ox1, oy1), c2, point(ox2, oy2))
-        except DegenerateIntersectionError as exc:
-            last = exc
-    raise DegenerateIntersectionError(
-        f"all generic offsets degenerate for ({c1.p},{c1.q}) x ({c2.p},{c2.q}): {last}"
-    )
 
 
 def fine_adjacent(a: RealizedCurve, b: RealizedCurve) -> bool:
@@ -452,76 +410,58 @@ class ChainBoundReport:
     bound: TranslationLengthBound
     crossing_count: int
     alpha_beta_crossings: int
-    alpha_fixed_max_dev: float
-    samples: int
-    curve_samples: int
 
 
 def chain_bound_vnhn(n: int, profile: Profile | None = None, *,
-                     gn_substitution: bool = False, samples: int = 10**4,
-                     curve_samples: int = 256,
-                     alpha_height: Fraction = Fraction(1, 3),
-                     beta_offset: Fraction = Fraction(1, 3)) -> ChainBoundReport:
+                     gn_substitution: bool = False) -> ChainBoundReport:
     """Verify the adjacency chain giving |V^n H^n| <= 2 in the fine graph.
 
-    Steps, each of which fails loudly:
-      1. the inner factor H^n maps the horizontal circle alpha at height
-         `alpha_height` into itself (sampled, y-deviation within 4 ulp);
-      2. the image of alpha under the full lift meets the vertical circle
-         beta exactly once (exact polyline crossing count);
-      3. alpha and beta themselves meet exactly once.
+    alpha is the horizontal circle {y = 1/3} and beta the vertical circle
+    {x = 1/3}.  Steps, each of which fails loudly:
+      1. every generator of the inner factor is a horizontal shear, checked
+         exactly on the expression.  H^k moves only x, by k*phi(y), which
+         is constant on alpha; so the inner factor maps alpha onto itself
+         by a rotation x -> x + c.
+      2. hence f(alpha) meets beta exactly once: along the image of alpha
+         under the inner factor the x-coordinate is x + c, and the outer
+         factor V^n leaves x alone, so f(alpha) is the graph of a function
+         over the horizontal circle, and such a graph meets every vertical
+         circle in exactly one point.  `crossing_count` records this 1.
+      3. alpha and beta themselves meet exactly once (exact crossing count
+         of the straight curves).
     Then d(alpha, f(alpha)) <= d(alpha, beta) + d(beta, f(alpha)) = 2 for
     every iterate, hence the asymptotic translation length is at most 2.
 
     With `gn_substitution` the inner factor is replaced by (V H)^n, whose
-    failure to fix alpha exercises the error path.
+    vertical shear fails step 1 and exercises the error path.
     """
     if n < 1:
         raise CurveError("n must be >= 1")
     prof = profile or default_profile()
     if gn_substitution:
         inner: MapExpr = Power(Compose((VShear(prof, 1), HShear(prof, 1))), n)
-        outer: MapExpr = Translate(0.0, 0.0)
     else:
         inner = HShear(prof, n)
-        outer = VShear(prof, n)
-    full = Compose((outer, inner))
 
-    y0 = float(alpha_height)
-    xs = np.arange(samples) / samples
-    pts = np.column_stack([xs, np.full(samples, y0)])
-    img = eval_lift_array(inner, pts)
-    dev = float(np.abs(img[:, 1] - y0).max())
-    tol = 4.0 * float(np.spacing(max(1.0, float(n))))
-    if dev > tol:
-        raise ChainVerificationError(
-            "inner_fixes_alpha",
-            f"inner factor moves the horizontal circle by up to {dev:.3g}",
-            max_deviation=dev,
-        )
+    for step in _steps(inner):
+        if not isinstance(step, HShear):
+            raise ChainVerificationError(
+                "inner_fixes_alpha",
+                f"inner factor applies {step!r}, which is not a horizontal shear",
+            )
 
-    alpha = straight_curve(CurveClass(1, 0), point(0, alpha_height))
-    beta = straight_curve(CurveClass(0, 1), point(beta_offset, 0))
+    third = Fraction(1, 3)
+    alpha = straight_curve(CurveClass(1, 0), point(0, third))
+    beta = straight_curve(CurveClass(0, 1), point(third, 0))
     ab = torus_crossing_count(alpha, beta)
     if ab != 1:
         raise ChainVerificationError(
             "alpha_meets_beta_once", f"crossing count {ab}", crossing_count=ab
         )
 
-    gamma = line_image_curve(full, CurveClass(1, 0), point(0, alpha_height),
-                             samples=curve_samples)
-    c = crossings_with_vertical_circle(gamma, beta_offset)
-    if c != 1:
-        raise ChainVerificationError(
-            "image_meets_beta_once", f"crossing count {c}", crossing_count=c
-        )
-
     bound = TranslationLengthBound("upper", Fraction(2), "adjacency_chain")
-    return ChainBoundReport(
-        n=n, profile_kind=prof.kind, bound=bound, crossing_count=c,
-        alpha_beta_crossings=ab, alpha_fixed_max_dev=dev, samples=samples,
-        curve_samples=curve_samples,
-    )
+    return ChainBoundReport(n=n, profile_kind=prof.kind, bound=bound, crossing_count=1,
+                            alpha_beta_crossings=ab)
 
 
 # ---------------------------------------------------------------------------

@@ -581,15 +581,18 @@ def _find_v_zero(v: Callable) -> float | None:
     vals = np.asarray(v(ys), dtype=float)
     if np.max(np.abs(vals)) < 1e-14:
         return None  # v == 0: fibered rotation
-    sign = np.sign(vals)
-    crossings = np.nonzero(np.diff(sign) != 0)[0]
-    interior = [i for i in crossings if abs(vals[i]) > 0 or abs(vals[i + 1]) > 0]
-    if len(interior) != 1:
-        raise FlowError(f"v must change sign exactly once, found {len(interior)} crossings")
-    i = interior[0]
-    if vals[i] == 0.0:
-        return float(ys[i])
-    return float(brentq(lambda y: float(v(y)), ys[i], ys[i + 1], xtol=1e-14))
+    # sign changes between consecutive nonzero samples; a zero sample
+    # between the two is the zero itself
+    nonzero = np.flatnonzero(vals)
+    changes = np.flatnonzero(np.diff(np.sign(vals[nonzero])))
+    if len(changes) != 1:
+        raise FlowError(f"v must change sign exactly once, found {len(changes)} crossings")
+    lo, hi = nonzero[changes[0]], nonzero[changes[0] + 1]
+    if hi - lo > 2:
+        raise FlowError(f"v vanishes on {hi - lo - 1} consecutive samples")
+    if hi - lo == 2:
+        return float(ys[lo + 1])
+    return float(brentq(lambda y: float(v(y)), ys[lo], ys[hi], xtol=1e-14))
 
 
 def annulus_model(tau: Callable, v: Callable, *, expected_period: float | None = None,

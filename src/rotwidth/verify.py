@@ -119,8 +119,7 @@ def run_compare_width_suite(count: int = 10**4, seed: int = 7) -> SuiteResult:
     return result
 
 
-def run_vnhn_suite(max_n: int = 64, *, samples: int = 10**4,
-                   curve_samples: int = 256) -> SuiteResult:
+def run_vnhn_suite(max_n: int = 64) -> SuiteResult:
     """Adjacency-chain bound |V^n H^n| <= 2 for every n up to max_n, for
     both profile kinds, plus the (VH)^n substitution failure path."""
     result = SuiteResult(f"vnhn[max_n={max_n}]")
@@ -129,8 +128,7 @@ def run_vnhn_suite(max_n: int = 64, *, samples: int = 10**4,
         worst = ""
         for n in range(1, max_n + 1):
             try:
-                rep = chain_bound_vnhn(n, prof, samples=samples,
-                                       curve_samples=curve_samples)
+                rep = chain_bound_vnhn(n, prof)
                 if rep.crossing_count == 1 and rep.bound.value == 2:
                     ok += 1
                 else:

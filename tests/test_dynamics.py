@@ -171,7 +171,6 @@ class TestRotationSetEstimate:
         est = rotation_set_estimate(vnhn(2), 64, 400)
         assert hausdorff_distance(est.inner_hull, box_polygon(2)) <= 1e-9
         assert est.outer_hull.contains_polygon(est.inner_hull)
-        assert not est.certified
 
     def test_translation_gives_point(self):
         est = rotation_set_estimate(Translate(1 / 3, 0.25), 8, 50)

@@ -4,9 +4,17 @@ import math
 import random
 from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
-from rotwidth.dynamics import tent_profile
+from rotwidth.dynamics import (
+    HShear,
+    default_profile,
+    eval_lift_array,
+    tent_profile,
+    vh_power,
+    vnhn,
+)
 from rotwidth.finegraph import (
     ChainVerificationError,
     CurveClass,
@@ -17,7 +25,6 @@ from rotwidth.finegraph import (
     TranslationLengthBound,
     certify_no_roots,
     chain_bound_vnhn,
-    crossings_with_vertical_circle,
     fine_adjacent,
     geometric_intersection_count,
     intersection_number,
@@ -61,11 +68,21 @@ class TestIntersectionNumber:
 
 class TestGeometricOracle:
     def test_matches_formula_on_random_pairs(self):
+        # entries up to 60; every fifth pair is parallel or antiparallel
         rng = random.Random(3)
-        for _ in range(1000):
-            c1 = _random_class(rng, 20)
-            c2 = _random_class(rng, 20)
+        for k in range(10**4):
+            c1 = _random_class(rng, 60)
+            c2 = _random_class(rng, 60) if k % 5 else CurveClass(*rng.choice(
+                [(c1.p, c1.q), (-c1.p, -c1.q)]))
             assert geometric_intersection_count(c1, c2) == intersection_number(c1, c2)
+
+    def test_large_classes_exact(self):
+        c1, c2 = CurveClass(1, 1000), CurveClass(1000, 1)
+        assert geometric_intersection_count(c1, c2) == 999_999
+
+    def test_past_the_int64_bound_raises(self):
+        with pytest.raises(CurveError, match="too large"):
+            geometric_intersection_count(CurveClass(1, 50_000), CurveClass(50_000, 1))
 
     def test_matches_generic_polyline_path(self):
         rng = random.Random(4)
@@ -103,8 +120,6 @@ class TestRealizedCurves:
             RealizedCurve(pts, CurveClass(1, 0))
 
     def test_graph_curves_are_simple(self):
-        from rotwidth.dynamics import vnhn
-
         gamma = line_image_curve(vnhn(3), CurveClass(1, 0), (0, F(1, 3)), samples=64)
         assert gamma.curve_class == CurveClass(1, 0)
         assert len(gamma.lifted_points) == 65
@@ -204,6 +219,9 @@ class TestSegmentContacts:
             RealizedCurve(pts, CurveClass(1, 0))
 
 
+ALPHA_SAMPLES = np.column_stack([np.arange(10**4) / 10**4, np.full(10**4, 1 / 3)])
+
+
 class TestChainBound:
     @pytest.mark.parametrize("n", [1, 2, 7, 64])
     def test_bound_two_with_single_crossing(self, n):
@@ -212,7 +230,10 @@ class TestChainBound:
         assert rep.bound.value == 2
         assert rep.crossing_count == 1
         assert rep.alpha_beta_crossings == 1
-        assert rep.alpha_fixed_max_dev == 0.0
+        # step 1 on samples: H^n leaves y bit-identical on alpha
+        for prof in (default_profile(), tent_profile()):
+            img = eval_lift_array(HShear(prof, n), ALPHA_SAMPLES)
+            assert np.array_equal(img[:, 1], ALPHA_SAMPLES[:, 1])
 
     def test_tent_profile(self):
         rep = chain_bound_vnhn(5, tent_profile())
@@ -221,24 +242,26 @@ class TestChainBound:
     def test_all_n_up_to_64_both_profile_kinds(self):
         from rotwidth.verify import run_vnhn_suite
 
-        result = run_vnhn_suite(64, samples=2000, curve_samples=128)
+        result = run_vnhn_suite(64)
         assert result.passed, "\n".join(result.format_lines())
 
     def test_gn_substitution_fails_loudly(self):
         with pytest.raises(ChainVerificationError) as err:
             chain_bound_vnhn(2, gn_substitution=True)
         assert err.value.stage == "inner_fixes_alpha"
-        assert err.value.max_deviation > 0.1
+        assert "VShear" in str(err.value)
+        # the rejected factor really moves alpha
+        img = eval_lift_array(vh_power(2), ALPHA_SAMPLES)
+        assert np.abs(img[:, 1] - ALPHA_SAMPLES[:, 1]).max() > 0.1
 
     def test_vertical_circle_counter_matches_generic(self):
-        from rotwidth.dynamics import vnhn
-
-        for n in (1, 3):
-            gamma = line_image_curve(vnhn(n), CurveClass(1, 0), (0, F(1, 3)),
-                                     samples=64)
-            beta = straight_curve(CurveClass(0, 1), (F(1, 3), 0))
-            assert (crossings_with_vertical_circle(gamma, F(1, 3))
-                    == torus_crossing_count(gamma, beta) == 1)
+        # the graph lemma of step 2 against the exact polyline count
+        beta = straight_curve(CurveClass(0, 1), (F(1, 3), 0))
+        for prof in (default_profile(), tent_profile()):
+            for n in (1, 3):
+                gamma = line_image_curve(vnhn(n, prof), CurveClass(1, 0), (0, F(1, 3)),
+                                         samples=64)
+                assert torus_crossing_count(gamma, beta) == 1
 
 
 class TestConstants:

@@ -214,6 +214,19 @@ class TestAnnulusModel:
         d = np.abs(np.asarray(flow(pert, grid, 1.0)) - np.asarray(flow(rot, grid, 1.0)))
         assert float(d.max()) < 1e-2
 
+    def test_zero_on_a_scan_grid_point(self):
+        # the zero scan samples this grid; a zero sample is one sign change
+        y0 = float(np.linspace(-0.999, 0.999, 4001)[1500])
+        rep = annulus_model(make_annulus_tau(1.0, y0=y0), make_annulus_v(0.05, y0=y0),
+                            expected_period=1.0)
+        assert rep.passed
+        assert rep.y0 == y0
+
+    def test_zero_band_rejected(self):
+        band_v = lambda y: -0.05 * np.sign(y) * np.maximum(np.abs(y) - 0.01, 0.0)
+        with pytest.raises(FlowError, match="vanishes on"):
+            annulus_model(make_annulus_tau(1.0), band_v)
+
     def test_wrong_sign_pattern_rejected(self):
         tau = make_annulus_tau(1.0)
         bad_v = lambda y: 0.05 * (np.asarray(y) - 0.0) * (1 - np.abs(np.asarray(y)))

@@ -1,10 +1,14 @@
 """Exact geometry: hulls, widths, lattice points, essential width."""
 
 import math
+import os
+import subprocess
+import sys
 from fractions import Fraction as F
 
 import pytest
 
+import rotwidth.geometry
 from rotwidth.geometry import (
     ConvexPolygonQ,
     GeometryError,
@@ -289,3 +293,13 @@ class TestHausdorffAndDilate:
         D = dilate_polygon_linf(C, F(1, 4))
         assert D.contains_polygon(C)
         assert essential_width(D) >= essential_width(C)
+
+
+def test_import_leaves_scipy_unloaded():
+    # a fresh interpreter: the package import must not load the flow layer
+    src = os.path.dirname(os.path.dirname(rotwidth.geometry.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, rotwidth.geometry; print('scipy' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True, timeout=60)
+    assert out.stdout.strip() == "False"
