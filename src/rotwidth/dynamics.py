@@ -14,9 +14,21 @@ taking values in [0, 1].  Compose and Power are unrolled in one place,
 Arithmetic is double precision with Kahan-compensated accumulation of
 per-step displacements; orbit positions are wrapped to [0,1)^2 each step
 (wrapping is exact in binary floating point, and the profiles are
-1-periodic, so this loses nothing).  The sine-squared profile is evaluated
-exactly at half-integers, which makes the distinguished fixed points of
-V^n H^n and their displacement vectors exact.
+1-periodic, so this loses nothing).  The sine-squared profile is exactly
+0 at integers and exactly 1 at half-integers, which makes the
+distinguished fixed points of V^n H^n and their displacement vectors exact.
+
+One interpreter, `_run`, applies a lift in place to a C-contiguous (2, N)
+column buffer; `eval_lift_array` and the orbit loop `_orbit_sums` share
+it.  The orbit loop allocates its buffers once per call (only `np.interp`
+of a piecewise-linear profile returns a fresh array) and runs each iterate
+with `out=`, in the operation order of a plain allocating loop, so its
+results are bit-identical to one.  `_steps` is walked afresh on every
+iterate rather than compiled into a flat program: it costs about 1 us per
+step against about 1 ms of array work per step at 256^2 points, and it
+never unrolls a large Power into memory.  The grid is not chunked: chunks
+of 1k to 64k points timed the same.  Wrapping is `x - floor(x)`, which
+`_wrap` shows is bit-identical to `np.mod(x, 1.0)`.
 """
 
 from __future__ import annotations
@@ -42,17 +54,35 @@ class ProfileError(DynamicsError):
 # ---------------------------------------------------------------------------
 # Speed profiles
 
+def _wrap(xs: np.ndarray, out: np.ndarray) -> None:
+    """Write xs mod 1 into `out` (which must not be `xs`).
+
+    For finite doubles `xs - floor(xs)` is bit-identical to
+    `np.mod(xs, 1.0)`: NumPy's mod is `fmod`, which is exact, plus 1 when
+    the remainder is negative; that addition is one rounding of the exact
+    value x - floor(x), which is what the subtraction rounds too.  Both
+    give +0.0 on integers (-0.0 included).
+    """
+    np.floor(xs, out=out)
+    np.subtract(xs, out, out=out)
+
+
 class SinSqProfile:
-    """phi(x) = sin^2(pi x), evaluated exactly at half-integers."""
+    """phi(x) = sin^2(pi x).
+
+    sin(pi * 0) is 0, and pi/2 rounds to a double whose sine rounds to
+    1.0, so phi is exactly 0 at integers and exactly 1 at half-integers
+    with no special-casing; tests pin both values.
+    """
 
     kind = "sinsq"
 
-    def array(self, xs: np.ndarray) -> np.ndarray:
-        r = np.mod(xs, 1.0)
-        out = np.square(np.sin(np.pi * r))
-        out = np.where(r == 0.0, 0.0, out)
-        out = np.where(r == 0.5, 1.0, out)
-        return out
+    def fill(self, xs: np.ndarray, out: np.ndarray) -> None:
+        """Write phi(xs) into `out`, a buffer of the same shape."""
+        _wrap(xs, out)
+        np.multiply(out, np.pi, out=out)
+        np.sin(out, out=out)
+        np.square(out, out=out)
 
     def lipschitz(self) -> float:
         return math.pi  # sup |d/dx sin^2(pi x)| = pi
@@ -88,14 +118,16 @@ class PiecewiseLinearProfile:
         self.breakpoints = tuple(bps)
         self._xp = np.array([float(t) for t in ts])
         self._fp = np.array(vals)
-        if abs(self(0.5) - 1.0) > 1e-12:
+        if self(0.5) != 1.0:
             raise ProfileError("profile must equal 1 at t = 1/2")
 
     def __call__(self, x: float) -> float:
         return float(np.interp(x % 1.0, self._xp, self._fp))
 
-    def array(self, xs: np.ndarray) -> np.ndarray:
-        return np.interp(np.mod(xs, 1.0), self._xp, self._fp)
+    def fill(self, xs: np.ndarray, out: np.ndarray) -> None:
+        """Write phi(xs) into `out`, a buffer of the same shape."""
+        _wrap(xs, out)
+        out[...] = np.interp(out, self._xp, self._fp)
 
     def lipschitz(self) -> float:
         slopes = np.abs(np.diff(self._fp) / np.diff(self._xp))
@@ -233,17 +265,25 @@ def eval_lift(expr: MapExpr, p: tuple[float, float]) -> tuple[float, float]:
     return (float(out[0, 0]), float(out[0, 1]))
 
 
-def eval_lift_array(expr: MapExpr, pts: np.ndarray) -> np.ndarray:
-    """Apply the plane lift to an (N, 2) array of points."""
-    out = pts
+def _run(expr: MapExpr, cols: np.ndarray, scratch: np.ndarray) -> None:
+    """Apply the plane lift in place to the (2, N) column buffer `cols`,
+    using `scratch`, an (N,) buffer, for the profile values."""
     for step in _steps(expr):
         if isinstance(step, Translate):
-            out = out + np.array([step.dx, step.dy])
+            cols[0] += step.dx
+            cols[1] += step.dy
             continue
         src, dst = (0, 1) if isinstance(step, VShear) else (1, 0)
-        out = out.copy()
-        out[:, dst] += step.power * step.profile.array(out[:, src])
-    return out
+        step.profile.fill(cols[src], scratch)
+        scratch *= step.power
+        cols[dst] += scratch
+
+
+def eval_lift_array(expr: MapExpr, pts: np.ndarray) -> np.ndarray:
+    """Apply the plane lift to an (N, 2) array of points."""
+    cols = np.asarray(pts, dtype=float).T.copy()
+    _run(expr, cols, np.empty(cols.shape[1]))
+    return cols.T.copy()
 
 
 # ---------------------------------------------------------------------------
@@ -267,44 +307,52 @@ def _orbit_sums(expr: MapExpr, pts: np.ndarray, n: int, *, tail: bool):
     """Iterate the lift n times from `pts`, accumulating per-step
     displacements with Kahan compensation.
 
-    Returns (sums, tail_spread or None, max_step_inf).  The tail spread is
-    the per-point coordinate range of the running averages sums/k over the
+    Returns (sums, tail_spread or None, max_step_inf), with sums of shape
+    (N, 2) and tail_spread of shape (N,).  The tail spread is the
+    per-point coordinate range of the running averages sums/k over the
     trailing 10% of the iterates, a cheap Cauchy-style convergence proxy.
 
     Base points are wrapped to their torus representatives up front (exact
     in binary floating point), so results do not depend on the lift
     representative supplied by the caller.
     """
-    pos = np.array(pts, dtype=float)
-    pos -= np.floor(pos)
+    nxt = np.asarray(pts, dtype=float).T.copy()
+    pos = np.empty_like(nxt)
+    _wrap(nxt, pos)
     sums = np.zeros_like(pos)
     comp = np.zeros_like(pos)
-    tail_lo = tail_hi = None
+    step, y, t = np.empty_like(pos), np.empty_like(pos), np.empty_like(pos)
+    scratch = np.empty(pos.shape[1])
+    if tail:
+        tail_lo, tail_hi = np.empty_like(pos), np.empty_like(pos)
     tail_start = n - max(1, n // 10)
     max_step = 0.0
     for k in range(1, n + 1):
-        nxt = eval_lift_array(expr, pos)
-        step = nxt - pos
-        y = step - comp
-        t = sums + y
-        comp = (t - sums) - y
-        sums = t
-        pos = nxt - np.floor(nxt)
-        ms = float(np.abs(step).max()) if step.size else 0.0
-        if ms > max_step:
-            max_step = ms
+        np.copyto(nxt, pos)
+        _run(expr, nxt, scratch)
+        np.subtract(nxt, pos, out=step)
+        np.subtract(step, comp, out=y)
+        np.add(sums, y, out=t)
+        np.subtract(t, sums, out=comp)
+        np.subtract(comp, y, out=comp)
+        sums, t = t, sums
+        _wrap(nxt, pos)
+        if step.size:
+            ms = float(np.abs(step, out=step).max())
+            if ms > max_step:
+                max_step = ms
         if tail and k > tail_start:
-            avg = sums / k
-            if tail_lo is None:
-                tail_lo = avg.copy()
-                tail_hi = avg.copy()
+            avg = np.divide(sums, k, out=y)
+            if k == tail_start + 1:
+                np.copyto(tail_lo, avg)
+                np.copyto(tail_hi, avg)
             else:
                 np.minimum(tail_lo, avg, out=tail_lo)
                 np.maximum(tail_hi, avg, out=tail_hi)
     spread = None
-    if tail and tail_lo is not None:
-        spread = (tail_hi - tail_lo).max(axis=1)
-    return sums, spread, max_step
+    if tail and n >= 1:
+        spread = np.subtract(tail_hi, tail_lo, out=tail_hi).max(axis=0)
+    return sums.T, spread, max_step
 
 
 def displacement(expr: MapExpr, x: tuple[float, float], n: int) -> DisplacementSample:
@@ -368,16 +416,22 @@ def _grid_points(grid: int, sampler: str, seed: int) -> np.ndarray:
 
 
 def _float_hull(pts: np.ndarray) -> list[tuple[float, float]]:
-    uniq = sorted(set(map(tuple, pts.tolist())))
+    # Stable sort by (x, y), then drop repeats: the first row of each run
+    # survives, as in sorted(set(...)), also when -0.0 meets 0.0.
+    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
+    keep = np.ones(len(srt), dtype=bool)
+    keep[1:] = (srt[1:] != srt[:-1]).any(axis=1)
+    uniq = list(map(tuple, srt[keep].tolist()))
     if len(uniq) == 1:
         return uniq
     def half(seq):
         out = []
         for p in seq:
-            while len(out) > 1 and (
-                (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-            ) <= 0:
+            px, py = p
+            while len(out) > 1:
+                (ax, ay), (bx, by) = out[-2], out[-1]
+                if not ((bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0):
+                    break
                 out.pop()
             out.append(p)
         return out

@@ -1,5 +1,7 @@
 """Shear-lift evaluation, displacements, and rotation-set estimation."""
 
+from fractions import Fraction
+
 import numpy as np
 import pytest
 
@@ -24,6 +26,10 @@ from rotwidth.dynamics import (
     verify_displacement_box,
     vh_power,
     vnhn,
+    _float_hull,
+    _grid_points,
+    _orbit_sums,
+    _steps,
 )
 from rotwidth.geometry import ConvexPolygonQ, hausdorff_distance, point
 
@@ -205,8 +211,6 @@ class TestRotationSetEstimate:
     def test_partitioned_hull_merge_matches_global_hull(self):
         # the grid may be split across workers: hull(union) must equal the
         # re-hull of the per-part hulls
-        from rotwidth.dynamics import _float_hull
-
         rng = np.random.default_rng(12)
         pts = rng.random((400, 2))
         whole = _float_hull(pts)
@@ -216,8 +220,17 @@ class TestRotationSetEstimate:
         assert whole == merged
 
     def test_spread_metadata_recorded(self):
-        est = rotation_set_estimate(vnhn(1), 16, 120)
-        assert est.max_tail_spread >= est.spread_threshold * 0 >= 0
+        expr = vnhn(1)
+        est = rotation_set_estimate(expr, 16, 120)
+        assert 0 < est.converged_fraction <= 1
+        if est.converged_fraction < 1:
+            assert est.max_tail_spread >= est.spread_threshold
+        side = np.arange(16) / 16
+        xx, yy = np.meshgrid(side, side, indexing="ij")
+        grid = np.column_stack([xx.ravel(), yy.ravel()])
+        grid -= np.floor(grid)
+        first_step = np.abs(eval_lift_array(expr, grid) - grid).max()
+        assert est.step_bound >= first_step
         assert est.step_bound <= 1 + 1e-12
 
 
@@ -261,6 +274,10 @@ class TestProfiles:
         assert prof(0.0) == 0.0 and prof(0.5) == 1.0 and prof(0.25) == 0.5
         assert prof(1.25) == 0.5  # 1-periodic
 
+    def test_pl_peak_must_be_exactly_one(self):
+        with pytest.raises(ProfileError):
+            PiecewiseLinearProfile([(0, 0.0), (Fraction(1, 2), 1 - 1e-13), (1, 0.0)])
+
     def test_pl_validation(self):
         with pytest.raises(ProfileError):
             PiecewiseLinearProfile([(0, 0.0), (1, 0.5)])  # never reaches 1
@@ -270,3 +287,158 @@ class TestProfiles:
     def test_lipschitz_bounds(self):
         assert lift_lipschitz_bound(vnhn(2)) >= 1.0
         assert lift_lipschitz_bound(Translate(5, 5)) == 1.0
+
+
+class TestSinSqExactValues:
+    """phi is exactly 0 at integers and exactly 1 at half-integers with no
+    special-casing, in every SIMD lane and tail position."""
+
+    INTEGERS = (0.0, -0.0, 1.0, -3.0, 1e6, 2.0**40)
+    HALVES = (0.5, -0.5, 1e6 + 0.5, 2.0**40 + 0.5)
+
+    def inputs(self, length):
+        vals = np.array(self.INTEGERS + self.HALVES)
+        for v in vals:
+            yield np.full(length, v)
+        for shift in range(len(vals)):
+            yield np.resize(np.roll(vals, shift), length)
+
+    def expected(self, xs):
+        return np.where(np.isin(xs, self.HALVES), 1.0, 0.0)
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 17, 65536])
+    def test_profile_values(self, length):
+        out = np.empty(length)
+        for xs in self.inputs(length):
+            default_profile().fill(xs, out)
+            assert np.array_equal(out, self.expected(xs))
+
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 17, 65536])
+    def test_strided_through_eval_lift_array(self, length):
+        prof = default_profile()
+        for xs in self.inputs(length):
+            for shear, src, dst in ((VShear(prof), 0, 1), (HShear(prof), 1, 0)):
+                pts = np.zeros((2 * length, 2))[::2]
+                pts[:, src] = xs
+                img = eval_lift_array(shear, pts)
+                assert np.array_equal(img[:, dst], self.expected(xs))
+                assert np.array_equal(img[:, src], xs)
+
+
+def _ref_profile(profile, xs):
+    r = np.mod(xs, 1.0)
+    if isinstance(profile, PiecewiseLinearProfile):
+        return np.interp(r, [float(t) for t, _ in profile.breakpoints],
+                         [v for _, v in profile.breakpoints])
+    out = np.square(np.sin(np.pi * r))
+    out = np.where(r == 0.0, 0.0, out)
+    return np.where(r == 0.5, 1.0, out)
+
+
+def _ref_lift(expr, pts):
+    out = pts
+    for step in _steps(expr):
+        if isinstance(step, Translate):
+            out = out + np.array([step.dx, step.dy])
+            continue
+        src, dst = (0, 1) if isinstance(step, VShear) else (1, 0)
+        out = out.copy()
+        out[:, dst] += step.power * _ref_profile(step.profile, out[:, src])
+    return out
+
+
+def _ref_orbit_sums(expr, pts, n, tail):
+    """The plain allocating orbit loop, with np.mod for every wrap."""
+    pos = np.mod(np.array(pts, dtype=float), 1.0)
+    sums = np.zeros_like(pos)
+    comp = np.zeros_like(pos)
+    tail_lo = tail_hi = None
+    tail_start = n - max(1, n // 10)
+    max_step = 0.0
+    for k in range(1, n + 1):
+        nxt = _ref_lift(expr, pos)
+        step = nxt - pos
+        y = step - comp
+        t = sums + y
+        comp = (t - sums) - y
+        sums = t
+        pos = np.mod(nxt, 1.0)
+        max_step = max(max_step, float(np.abs(step).max()))
+        if tail and k > tail_start:
+            avg = sums / k
+            tail_lo = avg if tail_lo is None else np.minimum(tail_lo, avg)
+            tail_hi = avg if tail_hi is None else np.maximum(tail_hi, avg)
+    spread = (tail_hi - tail_lo).max(axis=1) if tail else None
+    return sums, spread, max_step
+
+
+_PL = PiecewiseLinearProfile([(0, 0.0), (Fraction(1, 5), 0.3), (Fraction(1, 2), 1.0),
+                              (Fraction(3, 4), 0.25), (1, 0.0)])
+KERNEL_EXPRS = {
+    "vnhn": vnhn(2),
+    "vh_cubed": vh_power(3),
+    "translated_power": Compose((Translate(1 / 3, -1 / 5), Power(vnhn(2), 2))),
+    "piecewise_linear": Compose((VShear(_PL, 2), HShear(tent_profile(), 1))),
+    "negative_power": Compose((VShear(default_profile(), -2), HShear(default_profile(), 3))),
+}
+
+
+class TestOrbitKernelReference:
+    """The in-place kernel against the allocating loop, bit for bit."""
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_EXPRS))
+    @pytest.mark.parametrize("tail", [True, False])
+    def test_orbit_sums_match_reference(self, name, tail):
+        expr = KERNEL_EXPRS[name]
+        grids = (_grid_points(64, "uniform", 0), _grid_points(16, "halton", 3),
+                 np.array([[0.3, 0.7]]), np.array([[-1.25, 2.5]]))
+        for pts in grids:
+            sums, spread, max_step = _orbit_sums(expr, pts, 25, tail=tail)
+            ref_sums, ref_spread, ref_max = _ref_orbit_sums(expr, pts, 25, tail)
+            assert sums.shape == ref_sums.shape
+            assert sums.tobytes() == ref_sums.tobytes()
+            assert max_step == ref_max
+            if tail:
+                assert spread.shape == (len(pts),)
+                assert spread.tobytes() == ref_spread.tobytes()
+            else:
+                assert spread is None
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_EXPRS))
+    def test_eval_lift_array_matches_reference(self, name):
+        rng = np.random.default_rng(9)
+        pts = rng.random((5000, 2)) * 8 - 4
+        pts[:200] = np.round(pts[:200] * 2) / 2
+        img = eval_lift_array(KERNEL_EXPRS[name], pts)
+        assert img.shape == pts.shape and img.flags.c_contiguous
+        assert img.tobytes() == _ref_lift(KERNEL_EXPRS[name], pts).tobytes()
+
+    def test_float_hull_matches_sorted_set(self):
+        def ref_hull(pts):
+            uniq = sorted(set(map(tuple, pts.tolist())))
+            if len(uniq) == 1:
+                return uniq
+            def half(seq):
+                out = []
+                for p in seq:
+                    while len(out) > 1 and (
+                        (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
+                        - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
+                    ) <= 0:
+                        out.pop()
+                    out.append(p)
+                return out
+            hull = half(uniq)[:-1] + half(list(reversed(uniq)))[:-1]
+            return hull if len(hull) >= 2 else uniq[:1]
+
+        rng = np.random.default_rng(4)
+        zeros = np.array([-0.0, 0.0, 0.5, 1.0])
+        cases = [np.array([[-0.0, 0.0], [0.0, -0.0]]),
+                 np.array([[0.0, 0.0], [-0.0, -0.0], [1.0, 2.0]])]
+        for _ in range(200):
+            cases.append(rng.choice(zeros, size=(rng.integers(1, 12), 2)))
+            cloud = rng.random((rng.integers(1, 60), 2))
+            cases.append(np.vstack([cloud, cloud[rng.permutation(len(cloud))]]))
+        for pts in cases:
+            # repr tells -0.0 from 0.0
+            assert repr(_float_hull(pts)) == repr(ref_hull(pts))
