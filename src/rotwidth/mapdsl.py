@@ -75,9 +75,12 @@ def _tokenize(src: str):
 
 
 class _Parser:
+    MAX_DEPTH = 100  # group nesting; keeps the recursive descent off the stack limit
+
     def __init__(self, tokens, profile: Profile):
         self.tokens = tokens
         self.pos = 0
+        self.depth = 0
         self.profile = profile
 
     def peek(self):
@@ -109,7 +112,10 @@ class _Parser:
             if tok[0] != "num" or not re.fullmatch(r"[+-]?\d+", tok[1]):
                 raise DslParseError("expected an integer exponent after '^'", tok[2])
             self.take()
-            k = int(tok[1])
+            try:
+                k = int(tok[1])
+            except ValueError:
+                raise DslParseError("exponent has too many digits", tok[2]) from None
             if is_shear:
                 base = atom
                 return type(base)(base.profile, base.power * k)
@@ -133,22 +139,31 @@ class _Parser:
             self.take(",")
             b = self._number()
             self.take(")")
-            return Translate(float(a), float(b)), False
+            return Translate(a, b), False
         if tok[0] == "(":
+            if self.depth == self.MAX_DEPTH:
+                raise DslParseError(f"groups nested deeper than {self.MAX_DEPTH}", tok[2])
             self.take()
+            self.depth += 1
             inner = self.parse_expr()
+            self.depth -= 1
             if self.peek()[0] != ")":
                 raise DslParseError("expected ')'", self.peek()[2])
             self.take(")")
             return inner, False
         raise DslParseError("expected V, H, T(a,b) or '('", tok[2])
 
-    def _number(self) -> Fraction:
+    def _number(self) -> float:
         tok = self.peek()
         if tok[0] != "num":
             raise DslParseError("expected a number", tok[2])
         self.take()
-        return Fraction(tok[1])  # exact for "p/q", integers and decimals
+        try:
+            return float(Fraction(tok[1]))  # exact for "p/q", integers and decimals
+        except ZeroDivisionError:
+            raise DslParseError("zero denominator", tok[2]) from None
+        except (ValueError, OverflowError):
+            raise DslParseError("number out of range", tok[2]) from None
 
 
 def parse_map(source: str, *, profile: Profile | None = None) -> MapExpr:

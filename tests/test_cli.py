@@ -62,6 +62,7 @@ class TestRotset:
         ("V^^2", 2),
         ("T(1,", 4),
         ("V^", 2),
+        ("T(1/0,1)", 2),
     ])
     def test_parse_error_caret(self, capsys, bad, caret_pos):
         code, _, err = run_cli(capsys, "rotset", bad)
@@ -152,6 +153,13 @@ class TestFlowCommand:
         cfg.write_text("floors = 0.5\nwat = 1\n")
         code, _, err = run_cli(capsys, "flow", "--config", str(cfg))
         assert code == 2
+
+    def test_bad_config_value_names_line(self, tmp_path, capsys):
+        cfg = tmp_path / "exp.cfg"
+        cfg.write_text("field = const:0.1\nfloors = 0.5,abc\n")
+        code, _, err = run_cli(capsys, "flow", "--config", str(cfg))
+        assert code == 2
+        assert "line 2: bad floors '0.5,abc'" in err
 
     def test_bad_field_spec(self, capsys):
         code, _, err = run_cli(capsys, "flow", "--floors", "0.5", "--field", "lin:1")

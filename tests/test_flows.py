@@ -1,19 +1,28 @@
 """Flow integration, slowdown conjugacies, stopping limits, annulus models."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from scipy.integrate import quad
 
+import rotwidth
 from rotwidth.flows import (
     AnnulusField,
     ConleySection,
     DivergentSlowdownError,
+    ExperimentConfig,
     Field1D,
     FieldVanishesError,
     FlowError,
     NonContractingMapError,
     SectionRecrossError,
+    SlowdownProfile,
     annulus_model,
     box_profile,
     conjugate_to_constant,
@@ -89,6 +98,58 @@ class TestConjugateToConstant:
                                   domain=(-1, 1))
 
 
+class TestTimeCoordinate:
+    def test_round_trip_at_edges_and_between(self):
+        s = box_profile(0.0, 1.0, depth=0.3, margin=0.25)
+        quadratic = Field1D(lambda y: 1.0 + np.asarray(y) ** 2)
+        for X, joints in ((Field1D(s.fn), s.joints), (quadratic, ())):
+            c = conjugate_to_constant(X, domain=(-5.0, 5.0), joints=joints)
+            for y in (-5.0, 5.0, 0.0, *s.joints, *np.linspace(-5.0, 5.0, 37)):
+                assert abs(c.from_time(c.to_time(y)) - y) <= 1e-12
+
+    def test_to_time_matches_direct_quadrature(self):
+        s = box_profile(-0.5, 0.5, depth=0.4, margin=0.3)
+        c = conjugate_to_constant(Field1D(s.fn), joints=s.joints)
+        for y in (-3.0, -0.65, -0.1, 0.2, 0.65, 2.5):
+            lo, hi = sorted((0.0, y))
+            pts = [p for p in s.joints if lo < p < hi] or None
+            ref, _ = quad(lambda u: 1.0 / float(s(u)), lo, hi, points=pts,
+                          epsabs=1e-12, epsrel=1e-12, limit=400)
+            assert c.to_time(y) == pytest.approx(ref if y > 0 else -ref, abs=1e-11)
+
+    def test_time_beyond_the_image_raises(self):
+        # g = arctan never reaches 2; run in a child under a timeout, so an
+        # inverse that searches without end fails instead of hanging
+        code = (
+            "import numpy as np\n"
+            "from rotwidth.flows import Field1D, FlowError, conjugate_to_constant\n"
+            "c = conjugate_to_constant(Field1D(lambda y: 1.0 + np.asarray(y) ** 2),"
+            " domain=(-5, 5))\n"
+            "try:\n"
+            "    c.from_time(2.0)\n"
+            "except FlowError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(rotwidth.__file__).resolve().parents[1])
+        env = {**os.environ,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                              text=True, timeout=60, env=env)
+        assert proc.returncode == 0, proc.stderr
+        assert "t = 2.0 lies outside g([-5.0, 5.0])" in proc.stdout
+
+    def test_query_outside_the_domain_raises(self):
+        c = conjugate_to_constant(constant_field(1.0), domain=(-5, 5))
+        with pytest.raises(FlowError, match=r"outside the domain \[-5.0, 5.0\]"):
+            c.to_time(5.5)
+        with pytest.raises(FlowError, match=r"outside g\(\[-5.0, 5.0\]\)"):
+            c.from_time(-6.0)
+
+    def test_domain_must_contain_zero(self):
+        with pytest.raises(FlowError, match="containing 0"):
+            conjugate_to_constant(constant_field(1.0), domain=(1.0, 2.0))
+
+
 class TestSlowdownConjugacy:
     def test_trivial_profile_is_identity(self):
         s = box_profile(0.0, 1.0, depth=1.0, margin=0.25)
@@ -104,8 +165,8 @@ class TestSlowdownConjugacy:
         conj = slowdown_conjugacy_1d(s)
         assert conj.t_plus - conj.t_minus == pytest.approx(-1.0, abs=0.12)
         # the exact characterization: the shift difference is the delay integral
-        from rotwidth.flows import _delay_integral
-        delay = _delay_integral(s, s.tau_minus, s.tau_plus)
+        delay, _ = quad(lambda u: 1.0 / float(s(u)) - 1.0, s.tau_minus, s.tau_plus,
+                        points=s.joints[1:3], epsabs=1e-12, epsrel=1e-12, limit=400)
         assert conj.t_plus - conj.t_minus == pytest.approx(-delay, abs=1e-9)
 
     def test_tail_constancy(self):
@@ -120,6 +181,21 @@ class TestSlowdownConjugacy:
     def test_stopping_profile_diverges(self):
         with pytest.raises(DivergentSlowdownError):
             slowdown_conjugacy_1d(box_profile(0.0, 1.0, depth=0.0, margin=0.25))
+
+    def test_stopping_limit_is_a_zero_floor(self):
+        s0 = box_profile(0.0, 1.0, depth=0.0, margin=0.25)
+        assert s0.floor == 0.0 and float(s0(0.5)) == 0.0
+        for floor in (-0.1, 1.5):
+            with pytest.raises(FlowError):
+                SlowdownProfile(fn=s0.fn, tau_minus=s0.tau_minus,
+                                tau_plus=s0.tau_plus, floor=floor)
+
+    def test_map_outside_the_domain_raises(self):
+        conj = slowdown_conjugacy_1d(box_profile(0.0, 1.0, depth=0.5, margin=0.25))
+        with pytest.raises(FlowError):
+            conj.map(1e3)
+        with pytest.raises(FlowError):
+            conj.time_map(-1e3)
 
 
 class TestVerifyConjugacy:
@@ -320,9 +396,45 @@ class TestExperimentConfig:
         with pytest.raises(FlowError):
             parse_experiment_config("field = const:1\n")
 
+    @pytest.mark.parametrize("text,message", [
+        ("field = const:0.1\nfloors = 0.5,abc\n", "line 2: bad floors '0.5,abc'"),
+        ("floors = 0.5\nwindow = 1\n", "line 2: bad window '1'"),
+        ("floors = 0.5\ngrid = -2:3:0\n", "line 2: bad grid '-2:3:0': a grid needs n >= 2"),
+        ("floors = 0.5\nmargin = inf\n", "line 2: bad margin 'inf'"),
+        ("floors = 0.5\n# again\nfloors = 0.25\n", "line 3: floors is already set on line 1"),
+        ("floors = 0.5\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
+    ])
+    def test_errors_name_their_line(self, text, message):
+        with pytest.raises(FlowError) as err:
+            parse_experiment_config(text)
+        assert str(err.value).startswith(message)
+
     def test_scaled_field_annulus(self):
         fld = AnnulusField(tau=make_annulus_tau(1.0), v=make_annulus_v(0.05))
         s = box_profile(-0.9, -0.7, depth=0.5, margin=0.05)
         slowed = scaled_field(fld, s.fn)
         y = -0.8
         assert float(slowed.tau(y)) == pytest.approx(0.5 * float(fld.tau(y)))
+
+
+_CONFIG_VALUES = st.one_of(
+    st.sampled_from(["const:0.1", "0.5,0.25", "0,1", "0.5", "-2:3:41", "1e-3", "nan",
+                     "inf", "", "-2:3:0", "1", "abc", "const:", "lin:1", "1,2,3", "1:2"]),
+    st.text(alphabet="0123456789.,:-+eabcinfost# ", max_size=20),
+)
+_CONFIG_LINES = st.one_of(
+    st.tuples(st.sampled_from(["field", "floors", "window", "margin", "step", "horizon",
+                               "grid"]), _CONFIG_VALUES).map(lambda kv: f"{kv[0]} = {kv[1]}"),
+    st.sampled_from(["", "# comment", "bogus = 1", "no equals sign"]),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_CONFIG_LINES, max_size=8).map("\n".join))
+def test_config_fuzz_gives_config_or_flow_error(text):
+    try:
+        cfg = parse_experiment_config(text)
+    except FlowError as err:
+        assert str(err).startswith("line ") or str(err) == "config must set floors"
+        return
+    assert isinstance(cfg, ExperimentConfig)

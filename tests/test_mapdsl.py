@@ -1,6 +1,7 @@
 """Map DSL parsing: grammar, composition order, caret positions, profiles."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotwidth.dynamics import (
     Compose,
@@ -57,6 +58,11 @@ class TestErrors:
         ("V^", 2),
         ("", 0),
         ("V ) H", 2),
+        ("T(1/0,1)", 2),
+        ("T(1, -3/0)", 5),
+        pytest.param("T(" + "9" * 400 + ",1)", 2, id="number-beyond-float"),
+        pytest.param("V^" + "9" * 5000, 2, id="exponent-beyond-int-parsing"),
+        pytest.param("(" * 101 + "V" + ")" * 101, 100, id="groups-nested-101-deep"),
     ])
     def test_positions(self, src, pos):
         with pytest.raises(DslParseError) as err:
@@ -78,6 +84,36 @@ class TestErrors:
     def test_bad_profile_suffix(self):
         with pytest.raises(DslParseError):
             parse_map("V H @nope:file")
+
+
+# DSL strings for the fuzz test: grammar-shaped expressions (numbers
+# include zero denominators) mixed with junk over the token alphabet
+_NUMBERS = st.one_of(
+    st.integers(-99, 99).map(str),
+    st.tuples(st.integers(-9, 9), st.integers(0, 9)).map(lambda pq: f"{pq[0]}/{pq[1]}"),
+    st.tuples(st.integers(-9, 9), st.integers(0, 999)).map(lambda ab: f"{ab[0]}.{ab[1]}"),
+)
+_ATOMS = st.one_of(st.sampled_from(["V", "H"]),
+                   st.tuples(_NUMBERS, _NUMBERS).map(lambda ab: f"T({ab[0]},{ab[1]})"))
+_EXPRS = st.recursive(_ATOMS, lambda inner: st.one_of(
+    st.tuples(inner, _NUMBERS).map(lambda e: f"{e[0]}^{e[1]}"),
+    st.lists(inner, min_size=1, max_size=3).map(" ".join),
+    inner.map(lambda e: f"({e})"),
+), max_leaves=10)
+_JUNK = st.text(alphabet="VHT^(),/.+-0123456789 ", max_size=30)
+_DSL_STRINGS = st.one_of(_EXPRS, _JUNK, st.tuples(_EXPRS, _JUNK, _EXPRS).map("".join))
+
+
+class TestFuzz:
+    @settings(max_examples=300, deadline=None)
+    @given(_DSL_STRINGS)
+    def test_expression_or_located_error(self, src):
+        try:
+            expr = parse_map(src)
+        except DslParseError as err:
+            assert 0 <= err.position <= len(src)
+            return
+        assert isinstance(expr, (VShear, HShear, Translate, Compose, Power))
 
 
 class TestProfileSuffix:
