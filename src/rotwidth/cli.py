@@ -26,8 +26,8 @@ from .finegraph import certify_no_roots
 from .flows import (
     ExperimentConfig,
     FlowError,
+    config_value,
     parse_experiment_config,
-    parse_field_spec,
     run_experiment,
 )
 from .geometry import GeometryError, PolygonFormatError, hausdorff_distance, point
@@ -136,7 +136,7 @@ def cmd_verify(args) -> int:
         result = run_power_scaling_suite(args.k, args.grid, args.iters,
                                          seed=args.seed)
     elif args.suite == "flow":
-        floors = [float(f) for f in args.floors.split(",")]
+        floors = config_value("floors", args.floors, "--floors")
         result = run_flow_suite(floors, field_value=args.field_value)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
@@ -156,13 +156,9 @@ def cmd_flow(args) -> int:
     else:
         if not args.floors:
             raise FlowError("need --config or --floors")
-        a, b = (float(v) for v in args.window.split(","))
-        cfg = ExperimentConfig(
-            field=parse_field_spec(args.field),
-            floors=[float(f) for f in args.floors.split(",")],
-            window=(a, b), margin=args.margin, step=args.step,
-            horizon=args.horizon,
-        )
+        cfg = ExperimentConfig(**{
+            key: config_value(key, getattr(args, key), f"--{key}")
+            for key in ("field", "floors", "window", "margin", "step", "horizon")})
     print(_header("flow", "-",
                   f"field={cfg.field.name} floors={','.join(str(f) for f in cfg.floors)}"
                   f" window={cfg.window[0]},{cfg.window[1]} margin={cfg.margin}"))
@@ -268,9 +264,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--floors", default=None, help="comma-separated slowdown floors")
     p.add_argument("--field", default="const:0.1")
     p.add_argument("--window", default="0,1")
-    p.add_argument("--margin", type=float, default=0.5)
-    p.add_argument("--step", type=float, default=1e-3)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--margin", default="0.5")
+    p.add_argument("--step", default="1e-3")
+    p.add_argument("--horizon", default="1.0")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--svg", default=None)
     p.add_argument("--no-meta", action="store_true")

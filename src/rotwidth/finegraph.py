@@ -6,7 +6,10 @@ primitive homotopy class (p, q).  Two curves are adjacent in the fine
 graph of curves when they are disjoint or meet in exactly one point.
 Realized curves are stored as one lifted period of a closed polyline:
 exact rational vertices v_0 .. v_m with v_m = v_0 + (p, q).  Crossing
-counts use exact rational segment intersection; tangential or
+counts and the simplicity check are exact and run on one integer frame:
+the vertices are scaled once by the lcm D of their denominators, every
+segment test is integer arithmetic, and a segment pair tries only the
+integer translates whose closed boxes meet.  Tangential or
 vertex-touching contacts are rejected rather than guessed at.
 
 The chain bound |V^n H^n| <= 2 is proved from the structure of the word,
@@ -101,10 +104,11 @@ class RealizedCurve:
     endpoints differ by exactly the class vector (p, q); the torus curve
     is their projection mod 1.  Simplicity is verified on construction
     unless the polyline is monotone in one coordinate with unit span
-    (a graph over a base circle, which cannot self-cross).
+    (a graph over a base circle, which cannot self-cross).  Both checks run
+    on `_ints`, the vertices times `_denominator`, their lcm denominator.
     """
 
-    __slots__ = ("lifted_points", "curve_class", "provenance")
+    __slots__ = ("lifted_points", "curve_class", "provenance", "_denominator", "_ints")
 
     def __init__(self, lifted_points: Sequence[Point2Q], curve_class: CurveClass,
                  provenance: str = ""):
@@ -123,12 +127,15 @@ class RealizedCurve:
         self.lifted_points = tuple(cleaned)
         self.curve_class = curve_class
         self.provenance = provenance
+        D = math.lcm(*(c.denominator for v in cleaned for c in (v.x, v.y)))
+        self._denominator = D
+        self._ints = [(v.x.numerator * (D // v.x.denominator),
+                       v.y.numerator * (D // v.y.denominator)) for v in cleaned]
         if not self._is_monotone_graph():
             self._verify_simple()
 
     def segments(self):
-        pts = self.lifted_points
-        return [(pts[i], pts[i + 1]) for i in range(len(pts) - 1)]
+        return list(zip(self.lifted_points, self.lifted_points[1:]))
 
     def bounding_box(self):
         xs = [v.x for v in self.lifted_points]
@@ -136,112 +143,115 @@ class RealizedCurve:
         return min(xs), min(ys), max(xs), max(ys)
 
     def _is_monotone_graph(self) -> bool:
-        pts = self.lifted_points
+        pts = self._ints
         for coord, span in ((0, self.curve_class.p), (1, self.curve_class.q)):
-            if abs(span) != 1:
-                continue
-            vals = [v.x if coord == 0 else v.y for v in pts]
-            diffs = [b - a for a, b in zip(vals, vals[1:])]
-            if span > 0 and all(d > 0 for d in diffs):
-                return True
-            if span < 0 and all(d < 0 for d in diffs):
+            if abs(span) == 1 and all((w[coord] - v[coord]) * span > 0
+                                      for v, w in zip(pts, pts[1:])):
                 return True
         return False
 
-    def _chain_shift(self, di: int, dj: int) -> int | None:
-        """If (di, dj) = k * (p, q), return k, else None.
-
-        Translating a segment by k periods identifies it with a segment k*m
-        places down the bi-infinite chained polyline; only contacts between
-        consecutive chained segments are legitimate."""
-        p, q = self.curve_class.p, self.curve_class.q
-        if di * q != dj * p:
-            return None
-        k = di // p if p != 0 else dj // q
-        return k if (k * p, k * q) == (di, dj) else None
-
     def _verify_simple(self):
-        segs = [(p, q - p) for p, q in self.segments()]
+        _, segs = _frame(self, self._denominator)
         m = len(segs)
-        xmin, ymin, xmax, ymax = self.bounding_box()
-        irange = range(math.floor(xmin - xmax), math.ceil(xmax - xmin) + 1)
-        jrange = range(math.floor(ymin - ymax), math.ceil(ymax - ymin) + 1)
-        for di in irange:
-            for dj in jrange:
-                off = point(di, dj)
-                central = (di, dj) == (0, 0)
-                k = self._chain_shift(di, dj)
-                for a in range(m):
-                    p1, da = segs[a]
-                    for b in range(m):
-                        if central and b <= a:
-                            continue
-                        if k is not None and b + k * m == a:
-                            continue  # the same chained segment
-                        q1, db = segs[b]
-                        contact = _segment_contact(p1, da, q1 + off, db)
-                        if contact is None:
-                            continue
-                        if contact != "overlap" and all(0 < c < 1 for c in contact):
-                            raise NonSimpleCurveError(
-                                f"segments {a} and {b} (offset {di},{dj}) cross"
-                            )
-                        # endpoint contact: fine only between consecutive
-                        # chained segments that do not double back
-                        if k is not None and b + k * m in (a - 1, a + 1):
-                            if da.cross(db) != 0 or da.dot(db) > 0:
-                                continue
-                        raise NonSimpleCurveError(
-                            f"segments {a} and {b} (offset {di},{dj}) touch degenerately"
-                        )
+        p, q = self.curve_class.p, self.curve_class.q
+        for a, b, di, dj, contact in _contacts(segs, segs, self._denominator):
+            if (di, dj) == (0, 0) and b <= a:
+                continue
+            # a translate by k periods, k (p, q) with (p, q) primitive, moves
+            # segment b to b + k*m on the bi-infinite chained polyline
+            k = (di // p if p else dj // q) if di * q == dj * p else None
+            if k is not None and b + k * m == a:
+                continue  # the same chained segment
+            t, u, den = (0, 0, 1) if contact == "overlap" else contact
+            if 0 < t < den and 0 < u < den:
+                raise NonSimpleCurveError(f"segments {a} and {b} (offset {di},{dj}) cross")
+            # endpoint contact: fine only between consecutive chained
+            # segments that do not double back
+            if k is not None and b + k * m in (a - 1, a + 1):
+                (_, _, ax, ay), (_, _, bx, by) = segs[a][0], segs[b][0]
+                if ax * by - ay * bx != 0 or ax * bx + ay * by > 0:
+                    continue
+            raise NonSimpleCurveError(
+                f"segments {a} and {b} (offset {di},{dj}) touch degenerately"
+            )
 
 
-def _segment_contact(p1: Point2Q, d1: Point2Q, q1: Point2Q,
-                     d2: Point2Q) -> tuple[Fraction, Fraction] | str | None:
-    """Contact of the closed segments [p1, p1 + d1] and [q1, q1 + d2].
+def _frame(curve: RealizedCurve, D: int):
+    """The curve's vertices and segments in the integer frame of
+    denominator D, a multiple of the curve's own.  A segment is its start
+    and direction (x, y, dx, dy) with its closed box (xlo, xhi, ylo, yhi)."""
+    c = D // curve._denominator
+    pts = [(x * c, y * c) for x, y in curve._ints]
+    segs = [((x0, y0, x1 - x0, y1 - y0), (min(x0, x1), max(x0, x1), min(y0, y1), max(y0, y1)))
+            for (x0, y0), (x1, y1) in zip(pts, pts[1:])]
+    return pts, segs
+
+
+def _contacts(segs_a, segs_b, D: int):
+    """Every contact (ia, ib, di, dj, contact) of a segment of segs_a with
+    an integer translate (di, dj) of a segment of segs_b, as classified by
+    `_segment_contact`.  Only the translates whose closed box meets the
+    other box are tried: disjoint boxes hold no contact."""
+    for ia, (sa, (axlo, axhi, aylo, ayhi)) in enumerate(segs_a):
+        for ib, (sb, (bxlo, bxhi, bylo, byhi)) in enumerate(segs_b):
+            for di in range(-((bxhi - axlo) // D), (axhi - bxlo) // D + 1):
+                for dj in range(-((byhi - aylo) // D), (ayhi - bylo) // D + 1):
+                    contact = _segment_contact(sa, sb, di * D, dj * D)
+                    if contact is not None:
+                        yield ia, ib, di, dj, contact
+
+
+def _segment_contact(s1, s2, ox: int, oy: int):
+    """Contact of the closed segments s1 and s2 + (ox, oy), each given as
+    (x, y, dx, dy) in one integer frame.
 
     Returns None when they do not meet, "overlap" when they are collinear
-    and share a point, and otherwise the exact parameters (t, u), both in
-    [0, 1], of the one common point p1 + t*d1 = q1 + u*d2.
+    and share a point, and otherwise (t, u, den) with den > 0 and both t, u
+    in [0, den]: the one common point is s1 + (t/den) d1 = s2 + (u/den) d2.
     """
-    denom = d1.cross(d2)
-    w = q1 - p1
-    if denom == 0:
-        if d1.cross(w) != 0:
+    x1, y1, dx1, dy1 = s1
+    x2, y2, dx2, dy2 = s2
+    wx, wy = x2 + ox - x1, y2 + oy - y1
+    den = dx1 * dy2 - dy1 * dx2
+    if den == 0:
+        if dx1 * wy - dy1 * wx != 0:
             return None  # parallel, distinct lines
         # collinear: overlap iff parameter intervals intersect
-        t0 = d1.dot(w)
-        t1 = d1.dot(w + d2)
-        if max(t0, t1) >= 0 and min(t0, t1) <= d1.dot(d1):
+        t0 = dx1 * wx + dy1 * wy
+        t1 = t0 + dx1 * dx2 + dy1 * dy2
+        if max(t0, t1) >= 0 and min(t0, t1) <= dx1 * dx1 + dy1 * dy1:
             return "overlap"
         return None
-    t = w.cross(d2) / denom
-    u = w.cross(d1) / denom
-    if 0 <= t <= 1 and 0 <= u <= 1:
-        return t, u
+    t = wx * dy2 - wy * dx2
+    u = wx * dy1 - wy * dx1
+    if den < 0:
+        t, u, den = -t, -u, -den
+    if 0 <= t <= den and 0 <= u <= den:
+        return t, u, den
     return None
 
 
-def _chained_neighbors(curve: RealizedCurve, j: int):
-    """Vertices before and after joint j of the bi-infinite chained polyline."""
-    pts = curve.lifted_points
-    m = len(pts) - 1
-    nxt = pts[j + 1]
-    prev = pts[j - 1] if j >= 1 else pts[m - 1] - curve.curve_class.as_point()
-    return prev, nxt
+def _chained_neighbors(pts, j: int, ox: int, oy: int):
+    """Vertices before and after joint j of the bi-infinite chained polyline
+    whose one period is pts (pts[-1] - pts[0] is the class vector),
+    translated by (ox, oy)."""
+    (xp, yp), (xn, yn) = pts[j - 1] if j >= 1 else pts[-2], pts[j + 1]
+    if j == 0:
+        xp, yp = xp - pts[-1][0] + pts[0][0], yp - pts[-1][1] + pts[0][1]
+    return (xp + ox, yp + oy), (xn + ox, yn + oy)
 
 
-def _joint_side_crossing(line_a: Point2Q, line_d: Point2Q, prev: Point2Q,
-                         nxt: Point2Q) -> bool:
-    """Does a polyline pass transversally through the line (a, a + d) at a
-    joint with the given neighbors?  Tangential touches are degenerate."""
-    s1 = line_d.cross(prev - line_a)
-    s2 = line_d.cross(nxt - line_a)
+def _check_joint_crossing(line, prev, nxt) -> None:
+    """A polyline must pass transversally through the line of the segment
+    `line` at a joint with the given neighbors; tangential touches are
+    degenerate."""
+    x, y, dx, dy = line
+    s1 = dx * (prev[1] - y) - dy * (prev[0] - x)
+    s2 = dx * (nxt[1] - y) - dy * (nxt[0] - x)
     if s1 == 0 or s2 == 0:
         raise DegenerateIntersectionError("collinear neighbor at a joint contact")
     if (s1 > 0) == (s2 > 0):
         raise DegenerateIntersectionError("tangential touch at a polyline joint")
-    return True
 
 
 def torus_crossing_count(a: RealizedCurve, b: RealizedCurve) -> int:
@@ -253,46 +263,38 @@ def torus_crossing_count(a: RealizedCurve, b: RealizedCurve) -> int:
     there and counted only if the curve genuinely changes sides;
     tangential contacts, joint-on-joint hits, and collinear overlaps raise
     DegenerateIntersectionError.
+
+    Every test is on Python ints: both curves are scaled once by the lcm D
+    of their vertex denominators, contact parameters t/den are compared as
+    0 <= t <= den, and each segment pair tries only the translates whose
+    closed boxes meet, di in [ceil((a_xlo - b_xhi)/D), floor((a_xhi - b_xlo)/D)]
+    and likewise dj.
     """
-    axmin, aymin, axmax, aymax = a.bounding_box()
-    bxmin, bymin, bxmax, bymax = b.bounding_box()
-    irange = range(math.floor(axmin - bxmax), math.ceil(axmax - bxmin) + 1)
-    jrange = range(math.floor(aymin - bymax), math.ceil(aymax - bymin) + 1)
-    segs_a = [(p, q - p) for p, q in a.segments()]
-    segs_b = [(p, q - p) for p, q in b.segments()]
+    D = math.lcm(a._denominator, b._denominator)
+    pts_a, segs_a = _frame(a, D)
+    pts_b, segs_b = _frame(b, D)
     count = 0
-    for di in irange:
-        for dj in jrange:
-            off = point(di, dj)
-            for ia, (p1, d1) in enumerate(segs_a):
-                for ib, (q1_, d2) in enumerate(segs_b):
-                    q1 = q1_ + off
-                    contact = _segment_contact(p1, d1, q1, d2)
-                    if contact is None:
-                        continue
-                    if contact == "overlap":
-                        raise DegenerateIntersectionError(
-                            f"collinear overlap at translate ({di}, {dj})"
-                        )
-                    t, u = contact
-                    a_interior = 0 < t < 1
-                    b_interior = 0 < u < 1
-                    if a_interior and b_interior:
-                        count += 1
-                    elif (t in (0, 1)) and (u in (0, 1)):
-                        raise DegenerateIntersectionError(
-                            f"joint-on-joint contact at translate ({di}, {dj})"
-                        )
-                    elif a_interior and u == 0:
-                        prev, nxt = _chained_neighbors(b, ib)
-                        if _joint_side_crossing(p1, d1, prev + off, nxt + off):
-                            count += 1
-                    elif b_interior and t == 0:
-                        prev, nxt = _chained_neighbors(a, ia)
-                        if _joint_side_crossing(q1, d2, prev, nxt):
-                            count += 1
-                    # t == 1 or u == 1 contacts are counted at the joint's
-                    # starting segment, possibly in another translate
+    for ia, ib, di, dj, contact in _contacts(segs_a, segs_b, D):
+        if contact == "overlap":
+            raise DegenerateIntersectionError(f"collinear overlap at translate ({di}, {dj})")
+        t, u, den = contact
+        a_interior = 0 < t < den
+        b_interior = 0 < u < den
+        if a_interior and b_interior:
+            count += 1
+        elif t in (0, den) and u in (0, den):
+            raise DegenerateIntersectionError(
+                f"joint-on-joint contact at translate ({di}, {dj})"
+            )
+        elif a_interior and u == 0:
+            _check_joint_crossing(segs_a[ia][0], *_chained_neighbors(pts_b, ib, di * D, dj * D))
+            count += 1
+        elif b_interior and t == 0:
+            # sides of b's line, with a moved by -(di, dj) instead
+            _check_joint_crossing(segs_b[ib][0], *_chained_neighbors(pts_a, ia, -di * D, -dj * D))
+            count += 1
+        # t == den or u == den contacts are counted at the joint's
+        # starting segment, possibly in another translate
     return count
 
 

@@ -257,8 +257,8 @@ def box_profile(a: float, b: float, *, depth: float, margin: float) -> SlowdownP
     """C^1 window profile: `depth` on [a, b], 1 outside [a-margin, b+margin],
     cubic Hermite ramps between.  depth == 0 is the stopping limit, with
     zero set [a, b]."""
-    if margin <= 0 or b < a:
-        raise FlowError("need margin > 0 and b >= a")
+    if not (-math.inf < a <= b < math.inf and 0 < margin < math.inf):
+        raise FlowError("need a finite window a <= b and a finite margin > 0")
     if not (0.0 <= depth <= 1.0):
         raise FlowError("depth must lie in [0, 1]")
 
@@ -833,6 +833,14 @@ _CONFIG_KEYS = {
 }
 
 
+def config_value(key: str, text: str, where: str):
+    """Parse one config value; an error names `where`, a line or a flag."""
+    try:
+        return _CONFIG_KEYS[key](text)
+    except ValueError as exc:
+        raise FlowError(f"{where}: bad {key} {text!r}: {exc}") from None
+
+
 def parse_experiment_config(text: str) -> ExperimentConfig:
     """Parse a key=value experiment file.
 
@@ -852,10 +860,7 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
             raise FlowError(f"line {lineno}: unknown config key {key!r}")
         if key in lines:
             raise FlowError(f"line {lineno}: {key} is already set on line {lines[key]}")
-        try:
-            values[key] = _CONFIG_KEYS[key](val)
-        except ValueError as exc:
-            raise FlowError(f"line {lineno}: bad {key} {val!r}: {exc}") from None
+        values[key] = config_value(key, val, f"line {lineno}")
         lines[key] = lineno
     if "floors" not in values:
         raise FlowError("config must set floors")

@@ -85,9 +85,6 @@ class Point2Q:
     def __sub__(self, other: "Point2Q") -> "Point2Q":
         return Point2Q(self.x - other.x, self.y - other.y)
 
-    def __neg__(self) -> "Point2Q":
-        return Point2Q(-self.x, -self.y)
-
     def __mul__(self, s: RationalLike) -> "Point2Q":
         s = to_rational(s)
         return Point2Q(self.x * s, self.y * s)

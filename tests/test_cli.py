@@ -161,6 +161,15 @@ class TestFlowCommand:
         assert code == 2
         assert "line 2: bad floors '0.5,abc'" in err
 
+    @pytest.mark.parametrize("flag, value", [("--margin", "inf"), ("--floors", "0.5,nan"),
+                                             ("--window", "0,inf"), ("--step", "nan")])
+    def test_non_finite_flag_names_the_flag(self, capsys, flag, value):
+        args = ["flow", "--floors", "0.5", "--no-meta", flag, value]
+        code, out, err = run_cli(capsys, *args)
+        assert code == 2
+        assert f"{flag}: bad {flag[2:]} {value!r}" in err
+        assert "weakly decreasing" not in out
+
     def test_bad_field_spec(self, capsys):
         code, _, err = run_cli(capsys, "flow", "--floors", "0.5", "--field", "lin:1")
         assert code == 2

@@ -6,6 +6,7 @@ from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotwidth.dynamics import (
     HShear,
@@ -258,10 +259,186 @@ class TestChainBound:
         # the graph lemma of step 2 against the exact polyline count
         beta = straight_curve(CurveClass(0, 1), (F(1, 3), 0))
         for prof in (default_profile(), tent_profile()):
-            for n in (1, 3):
+            for n, samples in ((1, 64), (3, 64), (1, 256), (32, 256), (64, 256)):
                 gamma = line_image_curve(vnhn(n, prof), CurveClass(1, 0), (0, F(1, 3)),
-                                         samples=64)
+                                         samples=samples)
                 assert torus_crossing_count(gamma, beta) == 1
+                assert torus_crossing_count(beta, gamma) == 1
+
+
+# ---------------------------------------------------------------------------
+# The all-translates Fraction loop that the integer frame replaced, kept as
+# the reference for torus_crossing_count and the simplicity check.
+
+def _ref_contact(p1, d1, q1, d2):
+    denom = d1.cross(d2)
+    w = q1 - p1
+    if denom == 0:
+        if d1.cross(w) != 0:
+            return None
+        t0 = d1.dot(w)
+        t1 = d1.dot(w + d2)
+        if max(t0, t1) >= 0 and min(t0, t1) <= d1.dot(d1):
+            return "overlap"
+        return None
+    t = w.cross(d2) / denom
+    u = w.cross(d1) / denom
+    if 0 <= t <= 1 and 0 <= u <= 1:
+        return t, u
+    return None
+
+
+def _ref_box(pts):
+    xs, ys = [v.x for v in pts], [v.y for v in pts]
+    return min(xs), min(ys), max(xs), max(ys)
+
+
+def _ref_neighbors(pts, cls, j):
+    prev = pts[j - 1] if j >= 1 else pts[-2] - point(cls.p, cls.q)
+    return prev, pts[j + 1]
+
+
+def _ref_joint_side(line_a, line_d, prev, nxt):
+    s1 = line_d.cross(prev - line_a)
+    s2 = line_d.cross(nxt - line_a)
+    if s1 == 0 or s2 == 0:
+        raise DegenerateIntersectionError("collinear neighbor at a joint contact")
+    if (s1 > 0) == (s2 > 0):
+        raise DegenerateIntersectionError("tangential touch at a polyline joint")
+    return True
+
+
+def _ref_verify_simple(points, cls):
+    """Raise NonSimpleCurveError where the Fraction constructor did."""
+    pts = [points[0]]
+    for v in points[1:]:
+        if v != pts[-1]:
+            pts.append(v)
+    for coord, span in ((0, cls.p), (1, cls.q)):
+        vals = [v.x if coord == 0 else v.y for v in pts]
+        diffs = [b - a for a, b in zip(vals, vals[1:])]
+        if (span == 1 and all(d > 0 for d in diffs)) or (
+                span == -1 and all(d < 0 for d in diffs)):
+            return
+    segs = [(p, q - p) for p, q in zip(pts, pts[1:])]
+    m = len(segs)
+    xmin, ymin, xmax, ymax = _ref_box(pts)
+    for di in range(math.floor(xmin - xmax), math.ceil(xmax - xmin) + 1):
+        for dj in range(math.floor(ymin - ymax), math.ceil(ymax - ymin) + 1):
+            off = point(di, dj)
+            k = None
+            if di * cls.q == dj * cls.p:
+                k = di // cls.p if cls.p != 0 else dj // cls.q
+                k = k if (k * cls.p, k * cls.q) == (di, dj) else None
+            for a in range(m):
+                p1, da = segs[a]
+                for b in range(m):
+                    if (di, dj) == (0, 0) and b <= a:
+                        continue
+                    if k is not None and b + k * m == a:
+                        continue
+                    q1, db = segs[b]
+                    contact = _ref_contact(p1, da, q1 + off, db)
+                    if contact is None:
+                        continue
+                    if contact != "overlap" and all(0 < c < 1 for c in contact):
+                        raise NonSimpleCurveError("cross")
+                    if k is not None and b + k * m in (a - 1, a + 1):
+                        if da.cross(db) != 0 or da.dot(db) > 0:
+                            continue
+                    raise NonSimpleCurveError("touch degenerately")
+
+
+def _ref_crossing_count(a, b):
+    pa, pb = a.lifted_points, b.lifted_points
+    axmin, aymin, axmax, aymax = _ref_box(pa)
+    bxmin, bymin, bxmax, bymax = _ref_box(pb)
+    segs_a = [(p, q - p) for p, q in zip(pa, pa[1:])]
+    segs_b = [(p, q - p) for p, q in zip(pb, pb[1:])]
+    count = 0
+    for di in range(math.floor(axmin - bxmax), math.ceil(axmax - bxmin) + 1):
+        for dj in range(math.floor(aymin - bymax), math.ceil(aymax - bymin) + 1):
+            off = point(di, dj)
+            for ia, (p1, d1) in enumerate(segs_a):
+                for ib, (q1_, d2) in enumerate(segs_b):
+                    q1 = q1_ + off
+                    contact = _ref_contact(p1, d1, q1, d2)
+                    if contact is None:
+                        continue
+                    if contact == "overlap":
+                        raise DegenerateIntersectionError("collinear overlap")
+                    t, u = contact
+                    if 0 < t < 1 and 0 < u < 1:
+                        count += 1
+                    elif t in (0, 1) and u in (0, 1):
+                        raise DegenerateIntersectionError("joint-on-joint")
+                    elif 0 < t < 1 and u == 0:
+                        prev, nxt = _ref_neighbors(pb, b.curve_class, ib)
+                        if _ref_joint_side(p1, d1, prev + off, nxt + off):
+                            count += 1
+                    elif 0 < u < 1 and t == 0:
+                        prev, nxt = _ref_neighbors(pa, a.curve_class, ia)
+                        if _ref_joint_side(q1, d2, prev, nxt):
+                            count += 1
+    return count
+
+
+def _outcome(fn):
+    """The value fn returns, or the class of the CurveError it raises."""
+    try:
+        return fn()
+    except CurveError as err:
+        return type(err)
+
+
+# coordinates with denominators up to 4, so that vertices often land on
+# each other's lines, on joints and on translates of both
+_COORDS = st.sampled_from([1, 2, 3, 4]).flatmap(
+    lambda d: st.integers(-d, 2 * d).map(lambda k: F(k, d)))
+_POINTS = st.builds(point, _COORDS, _COORDS)
+_CLASSES = st.sampled_from([(1, 0), (0, 1), (-1, 0), (1, 1), (1, -1), (2, 1), (1, 2)])
+
+
+@st.composite
+def _polylines(draw):
+    p, q = draw(_CLASSES)
+    pts = [draw(_POINTS)] + draw(st.lists(_POINTS, max_size=3))
+    return pts + [pts[0] + point(p, q)], CurveClass(p, q)
+
+
+def _curve_or_none(pts, cls):
+    """The curve, after checking that the constructor and the reference
+    agree on whether it is simple."""
+    made = _outcome(lambda: RealizedCurve(pts, cls))
+    ref = _outcome(lambda: _ref_verify_simple(pts, cls))
+    assert (made if made is NonSimpleCurveError else None) == ref
+    return None if made is NonSimpleCurveError else made
+
+
+class TestIntegerFrameReference:
+    """The integer frame and translate window against the Fraction loop."""
+
+    @settings(max_examples=600, deadline=None)
+    @given(_polylines(), _polylines())
+    def test_matches_fraction_reference(self, pa, pb):
+        a, b = _curve_or_none(*pa), _curve_or_none(*pb)
+        if a is None or b is None:
+            return
+        for x, y in ((a, b), (b, a)):
+            assert _outcome(lambda: torus_crossing_count(x, y)) == \
+                _outcome(lambda: _ref_crossing_count(x, y))
+
+    @settings(max_examples=300, deadline=None)
+    @given(_polylines(), _polylines())
+    def test_transverse_count_bounds_intersection_number(self, pa, pb):
+        a, b = _curve_or_none(*pa), _curve_or_none(*pb)
+        if a is None or b is None:
+            return
+        count = _outcome(lambda: torus_crossing_count(a, b))
+        if count is DegenerateIntersectionError:
+            return
+        i = intersection_number(a.curve_class, b.curve_class)
+        assert count >= i and (count - i) % 2 == 0
 
 
 class TestConstants:

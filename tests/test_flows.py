@@ -190,6 +190,14 @@ class TestSlowdownConjugacy:
                 SlowdownProfile(fn=s0.fn, tau_minus=s0.tau_minus,
                                 tau_plus=s0.tau_plus, floor=floor)
 
+    @pytest.mark.parametrize("a, b, depth, margin", [
+        (0.0, 1.0, 0.5, math.inf), (0.0, 1.0, 0.5, math.nan), (0.0, 1.0, math.nan, 0.25),
+        (0.0, 1.0, math.inf, 0.25), (0.0, math.inf, 0.5, 0.25), (-math.inf, 1.0, 0.5, 0.25),
+        (math.nan, 1.0, 0.5, 0.25), (0.0, math.nan, 0.5, 0.25)])
+    def test_box_profile_rejects_non_finite_values(self, a, b, depth, margin):
+        with pytest.raises(FlowError, match="finite|must lie in"):
+            box_profile(a, b, depth=depth, margin=margin)
+
     def test_map_outside_the_domain_raises(self):
         conj = slowdown_conjugacy_1d(box_profile(0.0, 1.0, depth=0.5, margin=0.25))
         with pytest.raises(FlowError):
