@@ -137,7 +137,8 @@ def cmd_verify(args) -> int:
                                          seed=args.seed)
     elif args.suite == "flow":
         floors = config_value("floors", args.floors, "--floors")
-        result = run_flow_suite(floors, field_value=args.field_value)
+        field = config_value("field", f"const:{args.field_value}", "--field-value")
+        result = run_flow_suite(floors, field=field)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(result.series.to_csv(include_runtime=not args.no_meta))
@@ -252,7 +253,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=48)
     p.add_argument("--iters", type=int, default=300)
     p.add_argument("--floors", default="0.5,0.25,0.1,0.05")
-    p.add_argument("--field-value", type=float, default=0.1)
+    p.add_argument("--field-value", default="0.1")
     p.add_argument("--out", default=None, help="write the flow CSV here")
     p.add_argument("--svg", default=None,
                    help="vnhn: write the sampled width/length-bound scatter")

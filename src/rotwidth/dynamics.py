@@ -28,7 +28,9 @@ iterate rather than compiled into a flat program: it costs about 1 us per
 step against about 1 ms of array work per step at 256^2 points, and it
 never unrolls a large Power into memory.  The grid is not chunked: chunks
 of 1k to 64k points timed the same.  Wrapping is `x - floor(x)`, which
-`_wrap` shows is bit-identical to `np.mod(x, 1.0)`.
+`_wrap` shows is bit-identical to `np.mod(x, 1.0)`.  A rotation-set hull
+is a float prefilter (`_float_hull`) and then the exact hull of its few
+survivors; both run the one chain, `geometry.monotone_hull`.
 """
 
 from __future__ import annotations
@@ -40,7 +42,8 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, point
+from .geometry import (ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, monotone_hull,
+                       point)
 
 
 class DynamicsError(ValueError):
@@ -417,28 +420,12 @@ def _grid_points(grid: int, sampler: str, seed: int) -> np.ndarray:
 
 def _float_hull(pts: np.ndarray) -> list[tuple[float, float]]:
     # Stable sort by (x, y), then drop repeats: the first row of each run
-    # survives, as in sorted(set(...)), also when -0.0 meets 0.0.
+    # survives, as in sorted(set(...)), also when -0.0 meets 0.0.  The
+    # chain is the one the exact hull runs, here on floats.
     srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
     keep = np.ones(len(srt), dtype=bool)
     keep[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    uniq = list(map(tuple, srt[keep].tolist()))
-    if len(uniq) == 1:
-        return uniq
-    def half(seq):
-        out = []
-        for p in seq:
-            px, py = p
-            while len(out) > 1:
-                (ax, ay), (bx, by) = out[-2], out[-1]
-                if not ((bx - ax) * (py - ay) - (by - ay) * (px - ax) <= 0):
-                    break
-                out.pop()
-            out.append(p)
-        return out
-    lower = half(uniq)
-    upper = half(reversed(uniq))
-    hull = lower[:-1] + upper[:-1]
-    return hull if len(hull) >= 2 else uniq[:1]
+    return monotone_hull(list(map(tuple, srt[keep].tolist())))
 
 
 def _rationalized_hull(pts: np.ndarray) -> ConvexPolygonQ:

@@ -44,7 +44,7 @@ from .dynamics import (
     default_profile,
     eval_lift_array,
 )
-from .geometry import Point2Q, point, to_rational
+from .geometry import Point2Q, integer_frame, point, to_rational
 
 
 class CurveError(ValueError):
@@ -127,10 +127,7 @@ class RealizedCurve:
         self.lifted_points = tuple(cleaned)
         self.curve_class = curve_class
         self.provenance = provenance
-        D = math.lcm(*(c.denominator for v in cleaned for c in (v.x, v.y)))
-        self._denominator = D
-        self._ints = [(v.x.numerator * (D // v.x.denominator),
-                       v.y.numerator * (D // v.y.denominator)) for v in cleaned]
+        self._denominator, self._ints = integer_frame(cleaned)
         if not self._is_monotone_graph():
             self._verify_simple()
 

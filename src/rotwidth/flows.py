@@ -422,8 +422,10 @@ class ExperimentSeries:
 
     def is_weakly_decreasing(self) -> bool:
         """Non-increasing after a two-point moving average, with a 10%
-        relative slack for numerical noise."""
+        relative slack for numerical noise; False on a non-finite distance."""
         d = self.distances()
+        if not all(map(math.isfinite, d)):
+            return False
         if len(d) >= 2:
             d = [(a + b) / 2 for a, b in zip(d, d[1:])]
         return all(b <= a * 1.1 + 1e-15 for a, b in zip(d, d[1:]))

@@ -2,12 +2,15 @@
 the lattice ("essential") width.
 
 Vertices are stored as `fractions.Fraction` coordinates, and every
-predicate, width, and lattice-point query is exact.  The hot loops (the
-width-norm reduction and the lattice-point scan) clear denominators once
-per call and run on the vertices scaled by D, the lcm of the vertex
-denominators, as Python ints; a single Fraction is built from the result.
-Floating point appears only in `hausdorff_distance`, which is a diagnostic
-for the numerical estimators.
+predicate, width, and lattice-point query is exact.  `integer_frame` is
+the one place that clears denominators: a polygon frames its input once,
+scaling by D, the lcm of the denominators, to Python ints, and keeps D
+with its hull's scaled vertices.  The hull (`monotone_hull`, one Andrew
+chain that also serves the float prefilter in `dynamics`), the width-norm
+reduction and the lattice-point scan run on those ints; a single Fraction
+is built from each result.  `contains`, `ew_oracle` and the float
+`hausdorff_distance` (a diagnostic for the numerical estimators) stay on
+the Fraction vertices, so the checkers share no code with the kernels.
 
 The essential width of a compact convex set is the smallest horizontal
 width it can be given by a unimodular change of basis of the integer
@@ -89,8 +92,6 @@ class Point2Q:
         s = to_rational(s)
         return Point2Q(self.x * s, self.y * s)
 
-    __rmul__ = __mul__
-
     def dot(self, other: "Point2Q") -> Fraction:
         return self.x * other.x + self.y * other.y
 
@@ -154,29 +155,34 @@ class UnimodularMatrix:
         return UnimodularMatrix(1, 0, 0, 1)
 
 
-def _hull_vertices(points: Sequence[Point2Q]) -> tuple[Point2Q, ...]:
-    pts = sorted(set(points), key=lambda p: (p.x, p.y))
-    if not pts:
-        raise GeometryError("convex hull of an empty point set")
+def integer_frame(points: Sequence[Point2Q]) -> tuple[int, list[tuple[int, int]]]:
+    """(D, [(D*x, D*y), ...]) for the points, where D is the lcm of their
+    coordinate denominators, so every scaled coordinate is an int."""
+    D = math.lcm(*(c.denominator for v in points for c in (v.x, v.y)))
+    return D, [(v.x.numerator * (D // v.x.denominator),
+                v.y.numerator * (D // v.y.denominator)) for v in points]
+
+
+def monotone_hull(pts: Sequence[tuple]) -> list[tuple]:
+    """Andrew's monotone chain over distinct (x, y) pairs sorted by (x, y):
+    the extreme points counter-clockwise from the first pair (the two end
+    points of a collinear input).  Exact on ints; the float prefilter of
+    the rotation-set estimates runs it on floats."""
     if len(pts) == 1:
-        return (pts[0],)
-    base = pts[0]
-    d0 = pts[-1] - base
-    if all(d0.cross(p - base) == 0 for p in pts[1:-1]):
-        return (pts[0], pts[-1])  # collinear: keep the two extreme points
+        return list(pts)
 
     def chain(ordered):
-        out: list[Point2Q] = []
+        out = []
         for p in ordered:
+            px, py = p
             # pop while the turn is clockwise or straight (drops collinear)
-            while len(out) > 1 and (out[-1] - out[-2]).cross(p - out[-2]) <= 0:
+            while len(out) > 1 and ((out[-1][0] - out[-2][0]) * (py - out[-2][1])
+                                    - (out[-1][1] - out[-2][1]) * (px - out[-2][0])) <= 0:
                 out.pop()
             out.append(p)
         return out
 
-    lower = chain(pts)
-    upper = chain(reversed(pts))
-    return tuple(lower[:-1] + upper[:-1])  # CCW, starts at the lex-min vertex
+    return chain(pts)[:-1] + chain(reversed(pts))[:-1]
 
 
 class ConvexPolygonQ:
@@ -185,10 +191,12 @@ class ConvexPolygonQ:
     The stored vertex tuple is canonical: counter-clockwise, extreme points
     only, starting at the lexicographically smallest vertex.  Degenerate
     inputs are allowed and reported via `dimension` (0 point, 1 segment,
-    2 full-dimensional).
+    2 full-dimensional).  The hull is taken once, on the input's integer
+    frame; `_frame` keeps D and the hull's D-scaled vertices for the exact
+    kernels, and `vertices` are the input points at those ints.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "_frame")
 
     def __init__(self, points: Iterable[Point2Q | tuple]):
         coerced = []
@@ -198,7 +206,13 @@ class ConvexPolygonQ:
             else:
                 x, y = p
                 coerced.append(point(x, y))
-        self.vertices: tuple[Point2Q, ...] = _hull_vertices(coerced)
+        if not coerced:
+            raise GeometryError("convex hull of an empty point set")
+        D, ints = integer_frame(coerced)
+        at = dict(zip(ints, coerced))
+        hull = monotone_hull(sorted(at))
+        self.vertices: tuple[Point2Q, ...] = tuple(at[q] for q in hull)
+        self._frame = (D, tuple(hull))
 
     @property
     def dimension(self) -> int:
@@ -281,14 +295,6 @@ def directional_width(C: ConvexPolygonQ, w: PrimitiveVector | tuple[int, int]) -
 def apply_unimodular(A: UnimodularMatrix, C: ConvexPolygonQ) -> ConvexPolygonQ:
     """Image polygon A*C, re-canonicalized."""
     return ConvexPolygonQ([A.apply(v) for v in C.vertices])
-
-
-def _scaled_vertices(C: ConvexPolygonQ) -> tuple[int, list[tuple[int, int]]]:
-    """(D, [(D*x, D*y), ...]) for the vertices of C, where D is the lcm of
-    the vertex denominators, so every scaled coordinate is an int."""
-    D = math.lcm(*(c.denominator for v in C.vertices for c in (v.x, v.y)))
-    return D, [(v.x.numerator * (D // v.x.denominator),
-                v.y.numerator * (D // v.y.denominator)) for v in C.vertices]
 
 
 def _scaled_width(pts: Sequence[tuple[int, int]], a: int, b: int) -> int:
@@ -435,7 +441,7 @@ def essential_width_detail(C: ConvexPolygonQ) -> EWResult:
     """
     if C.dimension == 0:
         return EWResult(Fraction(0), (1, 0), 0, 1, None)
-    D, pts = _scaled_vertices(C)
+    D, pts = C._frame
     if C.dimension == 1:
         (ax, ay), (bx, by) = pts
         g = math.gcd(bx - ax, by - ay)
@@ -491,7 +497,7 @@ def _lattice_columns(C: ConvexPolygonQ, strict: bool) -> list[tuple[int, int]]:
     floor division: ceil(t/r) = (t + r - 1) // r, floor(t/r) + 1 =
     (t + r) // r, ceil(t/r) - 1 = (t - 1) // r.
     """
-    D, pts = _scaled_vertices(C)
+    D, pts = C._frame
     s = 1 if strict else 0
     xs = [x for x, _ in pts]
     ys = [y for _, y in pts]

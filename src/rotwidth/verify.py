@@ -162,12 +162,11 @@ def run_power_scaling_suite(k: int = 3, grid: int = 48, iterates: int = 300, *,
     return result
 
 
-def run_flow_suite(floors=(0.5, 0.25, 0.1, 0.05), *, field_value: float = 0.1,
+def run_flow_suite(floors=(0.5, 0.25, 0.1, 0.05), *, field=constant_field(0.1),
                    step: float = 1e-3) -> SuiteResult:
     """Stopping-limit experiment: the slowdown time-one maps must approach
     the stopping time-one map as the floors shrink."""
-    series = stopping_limit_experiment(constant_field(field_value), list(floors),
-                                       step=step)
+    series = stopping_limit_experiment(field, list(floors), step=step)
     result = SuiteResult(f"flow[floors={','.join(str(f) for f in floors)}]")
     dists = ", ".join(f"{d:.4g}" for d in series.distances())
     result.add(f"sup-distance series weakly decreasing: [{dists}]",

@@ -129,6 +129,13 @@ class TestVerify:
         assert code == 1
         assert "FAIL" in out
 
+    def test_flow_non_finite_field_value_names_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "flow",
+                                 "--floors", "0.5,0.25", "--field-value", "inf")
+        assert code == 2
+        assert "--field-value: bad field 'const:inf'" in err
+        assert "weakly decreasing" not in out
+
 
 class TestFlowCommand:
     def test_csv_stdout(self, capsys):

@@ -271,6 +271,13 @@ class TestStoppingLimit:
         assert lines[0] == "floor,sup_distance,runtime_s"
         assert len(lines) == 3 and lines[1].startswith("0.5,")
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_distance_is_not_decreasing(self, bad):
+        # a two-floor series averages to one value, which passed vacuously
+        series = stopping_limit_experiment(constant_field(0.1), [0.5, 0.25])
+        series.rows[1].sup_distance = bad
+        assert not series.is_weakly_decreasing()
+
 
 class TestAnnulusModel:
     def test_model_class_checklist(self):

@@ -7,6 +7,7 @@ import sys
 from fractions import Fraction as F
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import rotwidth.geometry
 from rotwidth.geometry import (
@@ -87,6 +88,60 @@ class TestConvexHull:
     def test_empty_input_rejected(self):
         with pytest.raises(GeometryError):
             convex_hull([])
+
+
+def fraction_hull(points):
+    """The Fraction monotone chain the hull was once built with, kept as the
+    reference for the integer-frame hull."""
+    pts = sorted(set(points), key=lambda p: (p.x, p.y))
+    if len(pts) == 1:
+        return (pts[0],)
+    base = pts[0]
+    d0 = pts[-1] - base
+    if all(d0.cross(p - base) == 0 for p in pts[1:-1]):
+        return (pts[0], pts[-1])
+
+    def chain(ordered):
+        out = []
+        for p in ordered:
+            while len(out) > 1 and (out[-1] - out[-2]).cross(p - out[-2]) <= 0:
+                out.pop()
+            out.append(p)
+        return out
+
+    return tuple(chain(pts)[:-1] + chain(list(reversed(pts)))[:-1])
+
+
+@st.composite
+def hull_inputs(draw):
+    """1-12 points with denominators up to 6, heavy in repeats and in
+    collinear runs (numerators a + i*d over one denominator)."""
+    n = draw(st.integers(1, 12))
+    small = st.integers(-6, 6)
+    q = draw(st.integers(1, 6))
+    pts = []
+    while len(pts) < n:
+        kind = draw(st.sampled_from(("free", "repeat", "run")))
+        if kind == "repeat" and pts:
+            pts.append(draw(st.sampled_from(pts)))
+        elif kind == "run":
+            ax, ay, dx, dy = (draw(small) for _ in range(4))
+            steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=n - len(pts)))
+            pts.extend(point(F(ax + i * dx, q), F(ay + i * dy, q)) for i in steps)
+        else:
+            pts.append(point(F(draw(small), draw(st.integers(1, 6))),
+                             F(draw(small), draw(st.integers(1, 6)))))
+    return draw(st.permutations(pts))
+
+
+@settings(max_examples=500, deadline=None)
+@given(hull_inputs())
+def test_hull_matches_fraction_reference(pts):
+    C = ConvexPolygonQ(pts)
+    assert C.vertices == fraction_hull(pts)
+    D, ints = C._frame
+    assert type(D) is int and all(type(c) is int for q in ints for c in q)
+    assert [(D * v.x, D * v.y) for v in C.vertices] == list(ints)
 
 
 class TestDirectionalWidth:
