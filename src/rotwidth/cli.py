@@ -138,7 +138,7 @@ def cmd_verify(args) -> int:
     elif args.suite == "flow":
         floors = config_value("floors", args.floors, "--floors")
         field = config_value("field", f"const:{args.field_value}", "--field-value")
-        result = run_flow_suite(floors, field=field)
+        result = run_flow_suite(floors, field)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:
                 fh.write(result.series.to_csv(include_runtime=not args.no_meta))

@@ -42,8 +42,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import (ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, monotone_hull,
-                       point)
+from .geometry import ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, monotone_hull
 
 
 class DynamicsError(ValueError):
@@ -116,8 +115,9 @@ class PiecewiseLinearProfile:
         vals = [v for _, v in bps]
         if vals[0] != 0.0 or vals[-1] != 0.0:
             raise ProfileError("profile must vanish at 0 and 1")
-        if any(v < 0.0 or v > 1.0 for v in vals):
-            raise ProfileError("profile values must lie in [0, 1]")
+        for t, v in bps:
+            if not 0.0 <= v <= 1.0:
+                raise ProfileError(f"profile value {v!r} at t = {t} must lie in [0, 1]")
         self.breakpoints = tuple(bps)
         self._xp = np.array([float(t) for t in ts])
         self._fp = np.array(vals)
@@ -169,7 +169,10 @@ def load_piecewise_profile(path) -> PiecewiseLinearProfile:
                 bps.append((Fraction(fields[0]), float(fields[1])))
             except (ValueError, ZeroDivisionError) as exc:
                 raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
-    return PiecewiseLinearProfile(bps)
+    try:
+        return PiecewiseLinearProfile(bps)
+    except ProfileError as exc:
+        raise ProfileError(f"{path}: {exc}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -428,11 +431,6 @@ def _float_hull(pts: np.ndarray) -> list[tuple[float, float]]:
     return monotone_hull(list(map(tuple, srt[keep].tolist())))
 
 
-def _rationalized_hull(pts: np.ndarray) -> ConvexPolygonQ:
-    verts = _float_hull(pts)
-    return ConvexPolygonQ([point(Fraction(x), Fraction(y)) for x, y in verts])
-
-
 def rotation_set_estimate(expr: MapExpr, grid: int, iterates: int, *,
                           sampler: str = "uniform", seed: int = 0) -> RotationSetEstimate:
     """Estimate the rotation set of the lift over a grid of base points.
@@ -462,8 +460,8 @@ def rotation_set_estimate(expr: MapExpr, grid: int, iterates: int, *,
         converged = est
         frac = 0.0
 
-    inner = _rationalized_hull(converged)
-    outer = _rationalized_hull(est)
+    inner = ConvexPolygonQ(_float_hull(converged))
+    outer = ConvexPolygonQ(_float_hull(est))
     radius = Fraction(max_step) / iterates if max_step > 0 else Fraction(0)
     outer = dilate_polygon_linf(outer, radius)
     return RotationSetEstimate(

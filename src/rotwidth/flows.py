@@ -14,9 +14,11 @@ a table of g(y) = integral_0^y du/X(u) on its domain, inverted inside one
 table panel.  It never calls the RK4 flow that `verify_conjugacy` checks
 it against.
 
-Integration is classical fixed-step RK4; the fields involved are C^1, so
-no higher-order smoothness is assumed or exploited.  All experiment
-drivers are deterministic given their (grid, step, seed) parameters.
+A field is its velocity: called on a state, it returns the velocity there.
+Integration is classical fixed-step RK4 in one loop, `_trajectory`, under
+`flow` and the Conley scan; the fields involved are C^1, so no
+higher-order smoothness is assumed or exploited.  All experiment drivers
+are deterministic given their (grid, step, seed) parameters.
 """
 
 from __future__ import annotations
@@ -72,14 +74,14 @@ class AnnulusField:
 
     tau is the angular speed, v the vertical one; both depend on the
     height only, so vertical motion is autonomous and monotone between
-    zeros of v.
+    zeros of v.  Called on states (..., 2), it gives their velocities.
     """
 
     tau: Callable
     v: Callable
     name: str = "annulus-field"
 
-    def velocity(self, state):
+    def __call__(self, state):
         y = state[..., 1]
         return np.stack([self.tau(y) + 0.0 * y, self.v(y) + 0.0 * y], axis=-1)
 
@@ -87,18 +89,15 @@ class AnnulusField:
 FlowField = Union[Field1D, AnnulusField]
 
 
-def constant_field(value: float, name: str | None = None) -> Field1D:
+def constant_field(value: float) -> Field1D:
     v = float(value)
-    return Field1D(lambda y: v + 0.0 * np.asarray(y, dtype=float),
-                   name=name or f"const:{v:g}")
+    return Field1D(lambda y: v + 0.0 * np.asarray(y, dtype=float), name=f"const:{v:g}")
 
 
-def _rhs(field: FlowField):
-    if isinstance(field, Field1D):
-        return lambda state: np.asarray(field(state), dtype=float)
-    if isinstance(field, AnnulusField):
-        return field.velocity
-    raise TypeError(f"not a flow field: {field!r}")
+def _positive(name: str, value: float) -> float:
+    if not 0 < value < math.inf:
+        raise FlowError(f"{name} must be positive and finite, got {value}")
+    return value
 
 
 def _rk4_step(rhs, y, h: float):
@@ -110,27 +109,32 @@ def _rk4_step(rhs, y, h: float):
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
+def _trajectory(field, x, t: float, step: float):
+    """Yield the state after each of n = ceil(|t|/step) RK4 steps of t/n
+    from `x` (none when t == 0); `field` is any velocity callable."""
+    _positive("step", step)
+    if t == 0.0:
+        return
+    velocity = lambda state: np.asarray(field(state), dtype=float)
+    n = max(1, math.ceil(abs(t) / step))
+    h = t / n
+    for _ in range(n):
+        x = _rk4_step(velocity, x, h)
+        yield x
+
+
 def flow(field: FlowField, x, t: float, *, step: float = 1e-3):
     """Classical RK4 time-t flow map.
 
     `x` may be a scalar (Field1D), a pair (AnnulusField), or an array of
-    states; the return value matches the input shape.  Negative times
-    integrate backwards.  The step is shrunk to divide |t| evenly.
+    states; the return value matches the input shape (a float for a
+    scalar).  Negative times integrate backwards.  The step is shrunk to
+    divide |t| evenly.
     """
-    if step <= 0:
-        raise FlowError("step must be positive")
-    rhs = _rhs(field)
-    state = np.asarray(x, dtype=float)
-    scalar = state.ndim == 0 or (isinstance(field, AnnulusField) and state.ndim == 1)
-    work = state.copy()
-    if t != 0.0:
-        n = max(1, math.ceil(abs(t) / step))
-        h = t / n
-        for _ in range(n):
-            work = _rk4_step(rhs, work, h)
-    if scalar and isinstance(field, Field1D):
-        return float(work)
-    return work
+    state = np.array(x, dtype=float)
+    for state in _trajectory(field, state, t, step):
+        pass
+    return float(state) if state.ndim == 0 else state
 
 
 def flow_richardson_error(field: FlowField, x, t: float, *, step: float = 1e-3) -> float:
@@ -253,12 +257,18 @@ class SlowdownProfile:
             raise FlowError("profile values must lie in [floor, 1]")
 
 
+def _window(a: float, b: float) -> tuple[float, float]:
+    if not -math.inf < a <= b < math.inf:
+        raise FlowError(f"need a finite window a <= b, got [{a}, {b}]")
+    return a, b
+
+
 def box_profile(a: float, b: float, *, depth: float, margin: float) -> SlowdownProfile:
     """C^1 window profile: `depth` on [a, b], 1 outside [a-margin, b+margin],
     cubic Hermite ramps between.  depth == 0 is the stopping limit, with
     zero set [a, b]."""
-    if not (-math.inf < a <= b < math.inf and 0 < margin < math.inf):
-        raise FlowError("need a finite window a <= b and a finite margin > 0")
+    _window(a, b)
+    _positive("margin", margin)
     if not (0.0 <= depth <= 1.0):
         raise FlowError("depth must lie in [0, 1]")
 
@@ -357,28 +367,23 @@ class ConjugacyReport:
         return self.sup_residual <= self.tol
 
 
-def verify_conjugacy(X: FlowField, *, slowdown: SlowdownProfile | None = None,
-                     conjugacy=None, step: float = 1e-3,
-                     tol: float = 1e-4) -> ConjugacyReport:
+def verify_conjugacy(X: Field1D, *, slowdown: SlowdownProfile, conjugacy=None,
+                     step: float = 1e-3, tol: float = 1e-4) -> ConjugacyReport:
     """Measure sup |h(flow_X^t(x)) - flow_{sX}^t(h(x))| for t = 0.25, 0.5, 1
-    on 41 points from 2 below to 2 above the slowdown window (or [-2, 2]).
+    on 41 points from 2 below to 2 above the slowdown window.
 
-    With `conjugacy` given, that map h is tested as is (against the
-    slowdown of X, or against X itself when no slowdown is supplied).
-    Otherwise h is built from the time coordinates of X and sX; for the
-    unit field this is exactly the slowdown conjugacy.
+    With `conjugacy` given, that map h is tested as is.  Otherwise h is
+    built from the time coordinates of X and sX; for the unit field this
+    is exactly the slowdown conjugacy.
     """
-    if slowdown is None and conjugacy is None:
-        raise FlowError("need a slowdown, a conjugacy, or both")
-    target = scaled_field(X, slowdown) if slowdown is not None else X
+    if not isinstance(X, Field1D):
+        raise FlowError("verify_conjugacy needs a 1-D field")
+    target = scaled_field(X, slowdown)
     if conjugacy is None:
-        if not isinstance(X, Field1D):
-            raise FlowError("automatic conjugacy construction needs a 1-D field")
         gx = conjugate_to_constant(X)
         gs = conjugate_to_constant(target, joints=slowdown.joints)
         conjugacy = lambda x: gs.from_time(gx.to_time(x))
-    lo, hi = (slowdown.tau_minus, slowdown.tau_plus) if slowdown is not None else (0.0, 0.0)
-    grid = np.linspace(lo - 2.0, hi + 2.0, 41)
+    grid = np.linspace(slowdown.tau_minus - 2.0, slowdown.tau_plus + 2.0, 41)
     h_of_x = np.array([float(conjugacy(float(x))) for x in grid])
     per_time = {}
     worst = 0.0
@@ -438,6 +443,15 @@ class ExperimentSeries:
         return "\n".join(lines) + "\n"
 
 
+def _floors(values: Sequence[float]) -> list[float]:
+    floors = [float(e) for e in values]
+    if not floors or not all(0 < e <= 1 for e in floors):
+        raise FlowError("floors must be positive and at most 1")
+    if floors != sorted(floors, reverse=True):
+        raise FlowError("floors must be non-increasing")
+    return floors
+
+
 def stopping_limit_experiment(field: FlowField, floors: Sequence[float], *,
                               window: tuple[float, float] = (0.0, 1.0),
                               margin: float = 0.5, grid=None,
@@ -451,11 +465,7 @@ def stopping_limit_experiment(field: FlowField, floors: Sequence[float], *,
     floors shrink (every point still moves at speed >= eps * |X| under the
     floored field while the stopping flow freezes on the zero set).
     """
-    floors = [float(e) for e in floors]
-    if not floors or any(e <= 0 or e > 1 for e in floors):
-        raise FlowError("floors must be positive and at most 1")
-    if floors != sorted(floors, reverse=True):
-        raise FlowError("floors must be non-increasing")
+    floors = _floors(floors)
     a, b = window
     s0 = box_profile(a, b, depth=0.0, margin=margin)
     if grid is None:
@@ -672,34 +682,28 @@ class SectionReport:
 class ConleySection:
     """Horizontal circle {y = level} transverse to an annulus flow.
 
-    `validate` checks that |v_y| is at least 1e-6 on the section and that
-    no sampled orbit crosses it twice within the horizon; a recrossing
-    aborts the experiment with SectionRecrossError.
+    `validate` takes any planar velocity callable.  It checks that |v_y| is
+    at least 1e-6 on the section and that no sampled orbit crosses it
+    twice within the horizon; a recrossing aborts with SectionRecrossError.
     """
 
     level: float
 
-    def validate(self, field, *, horizon: float = 20.0, samples: int = 12,
+    def validate(self, field: Callable, *, horizon: float = 20.0, samples: int = 12,
                  step: float = 1e-2) -> SectionReport:
-        velocity = field.velocity if isinstance(field, AnnulusField) else field
         xs = np.linspace(0.0, 1.0, samples, endpoint=False)
         pts = np.column_stack([xs, np.full_like(xs, self.level)])
-        vy = np.asarray(velocity(pts))[..., 1]
+        vy = np.asarray(field(pts))[..., 1]
         speed = float(np.min(np.abs(vy)))
         if speed < 1e-6 or np.any(np.sign(vy) != np.sign(vy[0])):
             raise FlowError(
                 f"section y={self.level} is not uniformly transverse (min |v_y| = {speed:.3g})"
             )
-        rhs = lambda state: np.asarray(velocity(state), dtype=float)
-        n = max(1, math.ceil(horizon / step))
-        h = horizon / n
         worst = 0
-        for sgn in (1.0, -1.0):
-            state = pts.copy()
+        for t in (horizon, -horizon):
             prev_side = np.zeros(len(pts))
             crossings = np.zeros(len(pts), dtype=int)
-            for _ in range(n):
-                state = _rk4_step(rhs, state, sgn * h)
+            for state in _trajectory(field, pts, t, step):
                 side = np.sign(state[:, 1] - self.level)
                 crossings += ((side != prev_side) & (prev_side != 0)).astype(int)
                 prev_side = np.where(side != 0, side, prev_side)
@@ -826,17 +830,18 @@ def _grid(text: str) -> tuple[float, float, int]:
 
 _CONFIG_KEYS = {
     "field": parse_field_spec,
-    "floors": lambda text: [_finite(v) for v in text.split(",")],
-    "window": _pair,
-    "margin": _finite,
-    "step": _finite,
+    "floors": lambda text: _floors([_finite(v) for v in text.split(",")]),
+    "window": lambda text: _window(*_pair(text)),
+    "margin": lambda text: _positive("margin", _finite(text)),
+    "step": lambda text: _positive("step", _finite(text)),
     "horizon": _finite,
     "grid": _grid,
 }
 
 
 def config_value(key: str, text: str, where: str):
-    """Parse one config value; an error names `where`, a line or a flag."""
+    """Parse one config value under the library's own range rules; an
+    error names `where`, a line or a flag."""
     try:
         return _CONFIG_KEYS[key](text)
     except ValueError as exc:

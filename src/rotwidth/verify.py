@@ -11,9 +11,9 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry as geo
-from .dynamics import default_profile, tent_profile
+from .dynamics import default_profile, power_scaling_check, tent_profile, vnhn
 from .finegraph import ChainVerificationError, chain_bound_vnhn
-from .flows import constant_field, stopping_limit_experiment
+from .flows import stopping_limit_experiment
 from .geometry import ConvexPolygonQ, UnimodularMatrix, apply_unimodular, point
 
 
@@ -150,11 +150,7 @@ def run_power_scaling_suite(k: int = 3, grid: int = 48, iterates: int = 300, *,
                             seed: int = 0) -> SuiteResult:
     """Hausdorff comparison of the rotation set of (V H)^k against k times
     the rotation set of V H, at matched iterate budgets."""
-    from .dynamics import Compose, HShear, VShear, power_scaling_check
-
-    prof = default_profile()
-    base = Compose((VShear(prof, 1), HShear(prof, 1)))
-    rep = power_scaling_check(base, k, grid, iterates, seed=seed)
+    rep = power_scaling_check(vnhn(1), k, grid, iterates, seed=seed)
     tol = 0.1 * k
     result = SuiteResult(f"power-scaling[k={k},grid={grid},iters={iterates}]")
     result.add(f"Hausdorff(estimate(expr^{k}), {k}*estimate(expr))"
@@ -162,11 +158,10 @@ def run_power_scaling_suite(k: int = 3, grid: int = 48, iterates: int = 300, *,
     return result
 
 
-def run_flow_suite(floors=(0.5, 0.25, 0.1, 0.05), *, field=constant_field(0.1),
-                   step: float = 1e-3) -> SuiteResult:
+def run_flow_suite(floors, field) -> SuiteResult:
     """Stopping-limit experiment: the slowdown time-one maps must approach
     the stopping time-one map as the floors shrink."""
-    series = stopping_limit_experiment(field, list(floors), step=step)
+    series = stopping_limit_experiment(field, floors)
     result = SuiteResult(f"flow[floors={','.join(str(f) for f in floors)}]")
     dists = ", ".join(f"{d:.4g}" for d in series.distances())
     result.add(f"sup-distance series weakly decreasing: [{dists}]",

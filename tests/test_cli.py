@@ -81,6 +81,16 @@ class TestRotset:
         assert "<!--" not in text  # --no-meta strips metadata comments
 
 
+    def test_nan_profile_exits_before_the_header(self, tmp_path, capsys):
+        prof = tmp_path / "nan.txt"
+        prof.write_text("0 0\n1/4 nan\n1/2 1\n1 0\n")
+        code, out, err = run_cli(capsys, "rotset", f"V H @pl:{prof}", "--grid", "4",
+                                 "--iters", "5")
+        assert code == 2
+        assert out == ""
+        assert f"{prof}: profile value nan at t = 1/4 must lie in [0, 1]" in err
+
+
 class TestRoots:
     def test_conclusive(self, capsys):
         code, out, _ = run_cli(capsys, "roots", "--ew", "2221",
@@ -136,6 +146,12 @@ class TestVerify:
         assert "--field-value: bad field 'const:inf'" in err
         assert "weakly decreasing" not in out
 
+    def test_flow_increasing_floors_name_the_flag(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "flow", "--floors", "0.5,0.9")
+        assert code == 2
+        assert "--floors: bad floors '0.5,0.9': floors must be non-increasing" in err
+        assert "weakly decreasing" not in out
+
 
 class TestFlowCommand:
     def test_csv_stdout(self, capsys):
@@ -169,7 +185,9 @@ class TestFlowCommand:
         assert "line 2: bad floors '0.5,abc'" in err
 
     @pytest.mark.parametrize("flag, value", [("--margin", "inf"), ("--floors", "0.5,nan"),
-                                             ("--window", "0,inf"), ("--step", "nan")])
+                                             ("--window", "0,inf"), ("--step", "nan"),
+                                             ("--step", "0"), ("--floors", "0.5,0.9"),
+                                             ("--window", "1,0"), ("--margin", "-1")])
     def test_non_finite_flag_names_the_flag(self, capsys, flag, value):
         args = ["flow", "--floors", "0.5", "--no-meta", flag, value]
         code, out, err = run_cli(capsys, *args)

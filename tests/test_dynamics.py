@@ -1,9 +1,11 @@
 """Shear-lift evaluation, displacements, and rotation-set estimation."""
 
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rotwidth.dynamics import (
     Compose,
@@ -21,6 +23,7 @@ from rotwidth.dynamics import (
     lift_lipschitz_bound,
     power_scaling_check,
     rotation_set_estimate,
+    load_piecewise_profile,
     rotation_vector_estimate,
     tent_profile,
     verify_displacement_box,
@@ -284,9 +287,56 @@ class TestProfiles:
         with pytest.raises(ProfileError):
             PiecewiseLinearProfile([(0, 0.2), (0.5, 1.0), (1, 0.2)])  # ends off 0
 
+    def test_pl_rejects_nan_naming_value_and_t(self):
+        # NaN fails every comparison, so a test of v < 0 or v > 1 let it through
+        with pytest.raises(ProfileError, match=r"profile value nan at t = 1/4 must lie in"):
+            PiecewiseLinearProfile([(0, 0.0), (Fraction(1, 4), math.nan),
+                                    (Fraction(1, 2), 1.0), (1, 0.0)])
+
+    def test_loaded_profile_error_names_the_file(self, tmp_path):
+        path = tmp_path / "nan.txt"
+        path.write_text("0 0\n1/4 nan\n1/2 1\n1 0\n")
+        with pytest.raises(ProfileError, match=rf"^{path}: profile value nan at t = 1/4"):
+            load_piecewise_profile(path)
+
     def test_lipschitz_bounds(self):
         assert lift_lipschitz_bound(vnhn(2)) >= 1.0
         assert lift_lipschitz_bound(Translate(5, 5)) == 1.0
+
+
+_T_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "1/2", "1/4", "3/4", "0.5", "2", "-1/3", "1/0", "nan", "x"]),
+    st.fractions(min_value=-1, max_value=2, max_denominator=16).map(str),
+)
+_V_TOKENS = st.one_of(
+    st.sampled_from(["0", "1", "0.5", "nan", "-nan", "inf", "-inf", "1e400", "-0.0", "abc"]),
+    st.floats(allow_nan=True, allow_infinity=True).map(repr),
+)
+_PROFILE_LINES = st.one_of(
+    st.tuples(_T_TOKENS, _V_TOKENS).map(" ".join),
+    st.sampled_from(["", "# comment", "0 0 0", "1/2"]),
+    st.text(alphabet="0123456789/.-+ naif#", max_size=12),
+)
+# lines that fit between the frame's "0 0" and "1/2 1", often with a NaN
+_MID_LINES = st.tuples(st.fractions(min_value=0, max_value=0.5, max_denominator=16).map(str),
+                       st.one_of(st.just("nan"), _V_TOKENS)).map(" ".join)
+_PROFILE_TEXTS = st.one_of(
+    st.lists(_PROFILE_LINES, max_size=6),
+    st.lists(st.one_of(_MID_LINES, _PROFILE_LINES), min_size=1, max_size=3).map(
+        lambda mid: ["0 0", *mid, "1/2 1", "1 0"]),
+).map("\n".join)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_PROFILE_TEXTS)
+def test_profile_fuzz_gives_profile_or_profile_error(tmp_path_factory, text):
+    path = tmp_path_factory.getbasetemp() / "fuzz-profile.txt"
+    path.write_text(text)
+    try:
+        prof = load_piecewise_profile(path)
+    except ProfileError:
+        return
+    assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for _, v in prof.breakpoints)
 
 
 class TestSinSqExactValues:

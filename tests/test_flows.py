@@ -12,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 import rotwidth
+from rotwidth import flows
 from rotwidth.flows import (
     AnnulusField,
     ConleySection,
@@ -68,6 +69,139 @@ class TestFlow:
     def test_richardson_error_small(self):
         X = Field1D(lambda y: 1.0 / (1.0 + y * y))
         assert flow_richardson_error(X, 0.0, 1.0, step=1e-2) < 1e-9
+
+
+# The RK4 loops as they stood before `_trajectory` joined them, kept as an
+# independent reference: the flow loop and the Conley crossing loop, each
+# with its own step rule, on the classical RK4 step.
+
+def _ref_rk4_step(rhs, y, h):
+    k1 = rhs(y)
+    k2 = rhs(y + 0.5 * h * k1)
+    k3 = rhs(y + 0.5 * h * k2)
+    k4 = rhs(y + h * k3)
+    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _ref_velocity(field):
+    if isinstance(field, AnnulusField):
+        def velocity(state):
+            y = state[..., 1]
+            return np.stack([field.tau(y) + 0.0 * y, field.v(y) + 0.0 * y], axis=-1)
+        return velocity
+    return lambda state: np.asarray(field(state), dtype=float)
+
+
+def _ref_flow(field, x, t, *, step=1e-3):
+    rhs = _ref_velocity(field)
+    state = np.asarray(x, dtype=float)
+    work = state.copy()
+    if t != 0.0:
+        n = max(1, math.ceil(abs(t) / step))
+        h = t / n
+        for _ in range(n):
+            work = _ref_rk4_step(rhs, work, h)
+    if state.ndim == 0:
+        return float(work)
+    return work
+
+
+def _ref_crossings(field, level, *, horizon, samples, step):
+    xs = np.linspace(0.0, 1.0, samples, endpoint=False)
+    pts = np.column_stack([xs, np.full_like(xs, level)])
+    rhs = _ref_velocity(field)
+    n = max(1, math.ceil(horizon / step))
+    h = horizon / n
+    worst = 0
+    for sgn in (1.0, -1.0):
+        state = pts.copy()
+        prev_side = np.zeros(len(pts))
+        crossings = np.zeros(len(pts), dtype=int)
+        for _ in range(n):
+            state = _ref_rk4_step(rhs, state, sgn * h)
+            side = np.sign(state[:, 1] - level)
+            crossings += ((side != prev_side) & (prev_side != 0)).astype(int)
+            prev_side = np.where(side != 0, side, prev_side)
+        worst = max(worst, int(crossings.max()))
+    return worst, float(np.min(np.abs(rhs(pts)[:, 1])))
+
+
+def _wobble(state):
+    """An x-dependent planar velocity, not an AnnulusField, transverse to
+    every horizontal circle."""
+    st_ = np.asarray(state, dtype=float)
+    x, y = st_[..., 0], st_[..., 1]
+    return np.stack([1.0 + 0.2 * np.sin(2 * np.pi * y), 0.6 + 0.5 * np.cos(2 * np.pi * x)],
+                    axis=-1)
+
+
+def _dipping(state):
+    """Transverse to y = 0 at twelve sampled points, but the vertical speed
+    dips negative between them, so orbits cross that circle again."""
+    x = np.asarray(state, dtype=float)[..., 0]
+    return np.stack([np.ones_like(x), 0.05 + 0.95 * np.cos(24 * np.pi * x)], axis=-1)
+
+
+def _dipping_below(state):
+    """As `_dipping` below y = 0 and 0.05 above: only backward orbits from
+    y = 0 cross it again."""
+    st_ = np.asarray(state, dtype=float)
+    x, y = st_[..., 0], st_[..., 1]
+    return np.stack([np.ones_like(x), 0.05 + 0.95 * np.cos(24 * np.pi * x) * (y < 0)], axis=-1)
+
+
+_ANNULUS = AnnulusField(tau=make_annulus_tau(1.0), v=make_annulus_v(0.05))
+
+
+class TestTrajectoryReference:
+    """`flow`, `ConleySection.validate` and the experiments built on `flow`
+    give the same bytes as the reference loops."""
+
+    @pytest.mark.parametrize("t", [0.0, 0.3705, -0.2513, 1.0049])
+    @pytest.mark.parametrize("field, x", [
+        (Field1D(lambda y: 1.0 + 0.3 * np.sin(y)), 0.2),
+        (Field1D(lambda y: 1.0 + 0.3 * np.sin(y)), np.linspace(-1.0, 2.0, 7)),
+        (constant_field(0.1), -0.4),
+        (_ANNULUS, np.array([0.25, -0.6])),
+        (_ANNULUS, np.column_stack([np.linspace(0, 1, 5), np.linspace(-0.9, 0.9, 5)])),
+        (_wobble, (0.1, 0.3)),
+        (_wobble, np.column_stack([np.linspace(0, 1, 4), np.linspace(-0.5, 0.5, 4)])),
+    ])
+    def test_flow_matches_reference_bytes(self, field, x, t):
+        got = flow(field, x, t, step=1e-2)
+        want = _ref_flow(field, x, t, step=1e-2)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+    @pytest.mark.parametrize("field, level", [
+        (_ANNULUS, -0.6), (_ANNULUS, -0.3), (_ANNULUS, 0.35), (_ANNULUS, 0.7),
+        (_wobble, 0.0), (_wobble, 0.4), (_dipping, 0.0), (_dipping_below, 0.0),
+    ])
+    def test_validate_matches_reference(self, field, level):
+        worst, speed = _ref_crossings(field, level, horizon=4.0, samples=12, step=1e-2)
+        section = ConleySection(level=level)
+        if worst > 0:
+            with pytest.raises(SectionRecrossError):
+                section.validate(field, horizon=4.0, samples=12, step=1e-2)
+            return
+        rep = section.validate(field, horizon=4.0, samples=12, step=1e-2)
+        assert (rep.max_crossings, rep.transversal_speed) == (worst, speed)
+
+    def test_reference_sees_a_recrossing(self):
+        assert _ref_crossings(_dipping, 0.0, horizon=4.0, samples=12, step=1e-2)[0] > 0
+
+    def test_experiments_match_reference_flow(self, monkeypatch):
+        s = box_profile(0.0, 1.0, depth=0.5, margin=0.25)
+        runs = []
+        for patched in (False, True):
+            if patched:
+                monkeypatch.setattr(flows, "flow", _ref_flow)
+            rep = verify_conjugacy(constant_field(1.0), slowdown=s, step=1e-2)
+            line = stopping_limit_experiment(constant_field(0.1), [0.5, 0.1], step=1e-2)
+            ring = stopping_limit_experiment(_ANNULUS, [0.5, 0.1], window=(-0.95, -0.75),
+                                             margin=0.04, step=1e-2)
+            runs.append((rep.per_time, line.distances(), ring.distances()))
+        assert repr(runs[0]) == repr(runs[1])
 
 
 class TestConjugateToConstant:
@@ -416,6 +550,11 @@ class TestExperimentConfig:
         ("floors = 0.5\nwindow = 1\n", "line 2: bad window '1'"),
         ("floors = 0.5\ngrid = -2:3:0\n", "line 2: bad grid '-2:3:0': a grid needs n >= 2"),
         ("floors = 0.5\nmargin = inf\n", "line 2: bad margin 'inf'"),
+        ("floors = 0.5\nmargin = -1\n", "line 2: bad margin '-1': margin must be positive and finite"),
+        ("floors = 0.5\nwindow = 1,0\n", "line 2: bad window '1,0': need a finite window"),
+        ("floors = 0.5,0.9\n", "line 1: bad floors '0.5,0.9': floors must be non-increasing"),
+        ("floors = 0\n", "line 1: bad floors '0': floors must be positive and at most 1"),
+        ("floors = 0.5\nstep = 0\n", "line 2: bad step '0': step must be positive and finite"),
         ("floors = 0.5\n# again\nfloors = 0.25\n", "line 3: floors is already set on line 1"),
         ("floors = 0.5\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
     ])
