@@ -113,6 +113,9 @@ def cmd_roots(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    if args.suite == "flow":
+        floors = config_value("floors", args.floors, "--floors")
+        field = config_value("field", f"const:{args.field_value}", "--field-value")
     print(_header("verify", args.seed, f"suite={args.suite}"))
     if args.suite == "compare-width":
         result = run_compare_width_suite(args.count, args.seed)
@@ -136,8 +139,6 @@ def cmd_verify(args) -> int:
         result = run_power_scaling_suite(args.k, args.grid, args.iters,
                                          seed=args.seed)
     elif args.suite == "flow":
-        floors = config_value("floors", args.floors, "--floors")
-        field = config_value("field", f"const:{args.field_value}", "--field-value")
         result = run_flow_suite(floors, field)
         if args.out:
             with open(args.out, "w", encoding="utf-8") as fh:

@@ -42,7 +42,8 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, monotone_hull
+from .geometry import (ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, monotone_hull,
+                       to_rational)
 
 
 class DynamicsError(ValueError):
@@ -166,8 +167,8 @@ def load_piecewise_profile(path) -> PiecewiseLinearProfile:
             if len(fields) != 2:
                 raise ProfileError(f"{path}: line {lineno}: expected 't value'")
             try:
-                bps.append((Fraction(fields[0]), float(fields[1])))
-            except (ValueError, ZeroDivisionError) as exc:
+                bps.append((to_rational(fields[0]), float(fields[1])))
+            except ValueError as exc:
                 raise ProfileError(f"{path}: line {lineno}: {exc}") from exc
     try:
         return PiecewiseLinearProfile(bps)

@@ -12,7 +12,8 @@ with a single attracting periodic orbit).
 Every line conjugacy uses one time coordinate, `conjugate_to_constant`:
 a table of g(y) = integral_0^y du/X(u) on its domain, inverted inside one
 table panel.  It never calls the RK4 flow that `verify_conjugacy` checks
-it against.
+it against.  The annulus checklist uses it too, for the heights of its
+sampled orbits, which solve y' = v(y) on their own.
 
 A field is its velocity: called on a state, it returns the velocity there.
 Integration is classical fixed-step RK4 in one loop, `_trajectory`, under
@@ -171,7 +172,8 @@ def conjugate_to_constant(X: Field1D, *, domain: tuple[float, float] = (-50.0, 5
     panel, summed outward from 0.  `to_time(y)` adds one quadrature from
     the edge of y's panel nearer 0; `from_time(t)` root-finds inside the
     panel whose table values straddle t.  A y outside the domain, or a t
-    outside g(domain), raises FlowError.
+    outside g(domain), raises FlowError, and so does a quadrature that
+    reports it did not converge.
     """
     lo, hi = (float(v) for v in domain)
     if not lo <= 0.0 <= hi or lo == hi:
@@ -179,12 +181,22 @@ def conjugate_to_constant(X: Field1D, *, domain: tuple[float, float] = (-50.0, 5
     if np.any(np.asarray(X(np.linspace(lo, hi, 201)), dtype=float) <= 0.0):
         raise FieldVanishesError(f"field {X.name!r} is not strictly positive on [{lo}, {hi}]")
 
+    def reciprocal(u: float) -> float:
+        x = float(X(u))
+        if not x > 0.0:
+            raise FieldVanishesError(f"field {X.name!r} is not strictly positive at {u!r}")
+        return 1.0 / x
+
     def integral(a: float, b: float) -> float:
         """integral_a^b du / X(u) within one panel; a > b gives the negative."""
         if a == b:
             return 0.0
-        val, _ = quad(lambda u: 1.0 / float(X(u)), min(a, b), max(a, b),
-                      epsabs=1e-12, epsrel=1e-12, limit=400)
+        a_, b_ = min(a, b), max(a, b)
+        val, _, _, *failed = quad(reciprocal, a_, b_, epsabs=1e-12, epsrel=1e-12,
+                                  limit=400, full_output=1)
+        if failed:
+            raise FlowError(f"quadrature of 1/{X.name} on the panel [{a_!r}, {b_!r}] "
+                            f"did not converge: {failed[0].splitlines()[0]}")
         return val if a < b else -val
 
     edges = sorted({lo, 0.0, hi, *(float(p) for p in joints if lo < p < hi)})
@@ -466,6 +478,7 @@ def stopping_limit_experiment(field: FlowField, floors: Sequence[float], *,
     floored field while the stopping flow freezes on the zero set).
     """
     floors = _floors(floors)
+    _positive("horizon", horizon)
     a, b = window
     s0 = box_profile(a, b, depth=0.0, margin=margin)
     if grid is None:
@@ -582,19 +595,26 @@ def annulus_model(tau: Callable, v: Callable, *, expected_period: float | None =
     segment through the orbit is positively invariant under the
     period-time map; (4) sampled interior orbits converge to the orbit.
     A vanishing v is flagged as the degenerate fibered-rotation case
-    (item 2 fails: every interior circle is periodic).  Flows use RK4 at
-    step 1e-3; the period tolerance is 1e-3 and the boundary one 1e-9.
+    (item 2 fails: every interior circle is periodic).
+
+    Items (1) to (3) are independent RK4 checks at step 1e-3: 16 boundary
+    points in one flow, the orbit point and 4 segment points in another;
+    the period tolerance is 1e-3 and the boundary one 1e-9.  Item (4)
+    uses the skew-product structure: heights solve y' = v(y) on their
+    own, and the sign pattern of v (checked on 400 samples; it is the
+    hypothesis that makes every height converge monotonically to y0)
+    lets the 1-D time coordinate `conjugate_to_constant` of +-v, from
+    each start to dmin = omega_tol * 1e-6 short of y0, give the height at
+    time omega_horizon.  A height that reaches that end by then is within
+    dmin of y0, and dmin is reported as its bound.
     """
     fld = AnnulusField(tau=tau, v=v)
     items: list[ChecklistItem] = []
 
-    # (1) boundary fixed
+    # (1) boundary fixed: both circles in one flow
     xs = np.linspace(0.0, 1.0, 9)[:-1]
-    worst = 0.0
-    for ysign in (-1.0, 1.0):
-        pts = np.column_stack([xs, np.full_like(xs, ysign)])
-        img = flow(fld, pts, 1.0, step=_STEP)
-        worst = max(worst, float(np.max(np.abs(img - pts))))
+    rim = np.column_stack([np.tile(xs, 2), np.repeat([-1.0, 1.0], len(xs))])
+    worst = float(np.max(np.abs(flow(fld, rim, 1.0, step=_STEP) - rim)))
     items.append(ChecklistItem("boundary circles fixed by the time-one map",
                                worst <= _BOUNDARY_TOL, worst, _BOUNDARY_TOL))
 
@@ -620,20 +640,23 @@ def annulus_model(tau: Callable, v: Callable, *, expected_period: float | None =
     if expected_period is not None and abs(expected_period - r) > _PERIOD_TOL:
         raise FlowError(f"declared period {expected_period} vs tau implying {r}")
 
-    # (2) measured period of the orbit through (0, y0): tau is constant
-    # along it, so the angle advances linearly and one turn takes r / x(r)
-    measured = r / float(flow(fld, np.array([0.0, y0]), r, step=_STEP)[0])
+    # (2) and (3) in one period-time flow of the orbit point (0, y0) and a
+    # vertical segment through it
+    delta = _plateau_halfwidth(tau, y0)
+    offsets = np.array([-0.9, -0.5, 0.5, 0.9]) * delta
+    seg = np.column_stack([np.zeros_like(offsets), y0 + offsets])
+    orbit, img = np.split(flow(fld, np.vstack([[0.0, y0], seg]), r, step=_STEP), [1])
+
+    # (2) tau is constant along the orbit, so the angle advances linearly
+    # and one turn takes r / x(r)
+    measured = r / float(orbit[0, 0])
     period_err = abs(measured - r)
     items.append(ChecklistItem("unique interior periodic orbit with the declared period",
                                period_err <= _PERIOD_TOL, period_err, _PERIOD_TOL))
 
-    # (3) vertical segment through the orbit positively invariant under
-    # the period-time map (tau is constant near y0, so the segment returns
-    # to its own circle while the height contracts toward y0)
-    delta = _plateau_halfwidth(tau, y0)
-    offsets = np.array([-0.9, -0.5, 0.5, 0.9]) * delta
-    seg = np.column_stack([np.zeros_like(offsets), y0 + offsets])
-    img = flow(fld, seg, r, step=_STEP)
+    # (3) the segment is positively invariant under the period-time map
+    # (tau is constant near y0, so it returns to its own circle while the
+    # height contracts toward y0)
     x_err = float(np.max(np.abs(img[:, 0] - 1.0)))
     contracted = bool(np.all(np.abs(img[:, 1] - y0) <= np.abs(offsets) + 1e-12)
                       and np.all(np.sign(img[:, 1] - y0) == np.sign(offsets)))
@@ -641,12 +664,10 @@ def annulus_model(tau: Callable, v: Callable, *, expected_period: float | None =
     items.append(ChecklistItem("vertical segment through the orbit positively invariant",
                                seg_ok, x_err, 1e-6))
 
-    # (4) omega-limits of sampled interior orbits
-    starts = np.array([
-        [0.13, -0.8], [0.5, -0.4], [0.77, 0.35], [0.31, 0.8],
-    ])
-    ends = flow(fld, starts, omega_horizon, step=1e-2)
-    omega_err = float(np.max(np.abs(ends[:, 1] - y0)))
+    # (4) omega-limits of sampled interior orbits, from their heights alone
+    dmin = omega_tol * 1e-6
+    omega_err = max(_height_gap(v, ys, y0, omega_horizon, dmin)
+                    for ys in (-0.8, -0.4, 0.35, 0.8))
     items.append(ChecklistItem("sampled omega-limits on the periodic orbit",
                                omega_err <= omega_tol, omega_err, omega_tol))
 
@@ -654,6 +675,27 @@ def annulus_model(tau: Callable, v: Callable, *, expected_period: float | None =
                               degenerate_fibered_rotation=False, y0=y0,
                               declared_period=expected_period or r,
                               measured_period=measured)
+
+
+def _height_gap(v: Callable, ys: float, y0: float, t: float, dmin: float) -> float:
+    """|y(t) - y0| for the height y' = v(y) from ys, which v moves
+    monotonically toward y0; dmin once y(t) is within dmin of y0.
+
+    The distance u = |y - ys| travelled solves u' = side * v(ys + side * u),
+    a positive field on [0, |y0 - ys| - dmin], so its time coordinate
+    gives u(t) while t lies inside g(domain).
+    """
+    side = math.copysign(1.0, y0 - ys)
+    gap = abs(y0 - ys) - dmin
+    if gap <= 0.0:
+        return dmin
+    g = conjugate_to_constant(
+        Field1D(lambda u: side * np.asarray(v(ys + side * u), dtype=float),
+                name=f"height speed from y = {ys!r}"),
+        domain=(0.0, gap))
+    if t > g.to_time(gap):
+        return dmin
+    return abs(y0 - (ys + side * g.from_time(t)))
 
 
 def _plateau_halfwidth(tau: Callable, y0: float) -> float:
@@ -685,6 +727,9 @@ class ConleySection:
     `validate` takes any planar velocity callable.  It checks that |v_y| is
     at least 1e-6 on the section and that no sampled orbit crosses it
     twice within the horizon; a recrossing aborts with SectionRecrossError.
+    The scan is one RK4 trajectory over +horizon that carries the samples
+    twice, under the field and under its negation: negation is exact, so
+    the second copy takes the field's own steps at -horizon, bit for bit.
     """
 
     level: float
@@ -699,15 +744,15 @@ class ConleySection:
             raise FlowError(
                 f"section y={self.level} is not uniformly transverse (min |v_y| = {speed:.3g})"
             )
-        worst = 0
-        for t in (horizon, -horizon):
-            prev_side = np.zeros(len(pts))
-            crossings = np.zeros(len(pts), dtype=int)
-            for state in _trajectory(field, pts, t, step):
-                side = np.sign(state[:, 1] - self.level)
-                crossings += ((side != prev_side) & (prev_side != 0)).astype(int)
-                prev_side = np.where(side != 0, side, prev_side)
-            worst = max(worst, int(crossings.max()))
+        both = np.concatenate([pts, pts])
+        sign = np.repeat([1.0, -1.0], len(pts))[:, None]
+        prev_side = np.zeros(len(both))
+        crossings = np.zeros(len(both), dtype=int)
+        for state in _trajectory(lambda s: sign * field(s), both, horizon, step):
+            side = np.sign(state[:, 1] - self.level)
+            crossings += ((side != prev_side) & (prev_side != 0)).astype(int)
+            prev_side = np.where(side != 0, side, prev_side)
+        worst = int(crossings.max())
         if worst > 0:
             raise SectionRecrossError(
                 f"an orbit re-crossed the section y={self.level} within the horizon"
@@ -834,7 +879,7 @@ _CONFIG_KEYS = {
     "window": lambda text: _window(*_pair(text)),
     "margin": lambda text: _positive("margin", _finite(text)),
     "step": lambda text: _positive("step", _finite(text)),
-    "horizon": _finite,
+    "horizon": lambda text: _positive("horizon", _finite(text)),
     "grid": _grid,
 }
 

@@ -58,6 +58,8 @@ def to_rational(value: RationalLike) -> Fraction:
 
     Accepts Fractions, ints, floats (exact binary value), and strings in
     the forms "p/q", "n", or a decimal like "1.25" (converted exactly).
+    A decimal exponent above 1000 in magnitude is refused: Fraction would
+    expand it digit by digit.
     """
     if isinstance(value, Fraction):
         return value
@@ -65,7 +67,10 @@ def to_rational(value: RationalLike) -> Fraction:
         return Fraction(value)
     if isinstance(value, str):
         try:
-            return Fraction(value.strip())
+            text = value.strip()
+            if ("e" in text or "E" in text) and abs(int(text.lower().rpartition("e")[2])) > 1000:
+                raise ValueError("decimal exponent above 1000 in magnitude")
+            return Fraction(text)
         except (ValueError, ZeroDivisionError) as exc:
             raise GeometryError(f"not a rational: {value!r}") from exc
     raise TypeError(f"cannot interpret {type(value).__name__} as a rational")

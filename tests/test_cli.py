@@ -119,6 +119,13 @@ class TestRoots:
         assert code == 2
         assert "not a rational: '1/0'" in err
 
+    def test_huge_exponent(self, capsys):
+        # Fraction would expand 10**10000000 digit by digit
+        code, out, err = run_cli(capsys, "roots", "--ew", "1e10000000", "--length-upper", "2")
+        assert code == 2
+        assert "not a rational: '1e10000000'" in err
+        assert out == ""
+
 
 class TestVerify:
     def test_compare_width_small(self, capsys):
@@ -144,13 +151,13 @@ class TestVerify:
                                  "--floors", "0.5,0.25", "--field-value", "inf")
         assert code == 2
         assert "--field-value: bad field 'const:inf'" in err
-        assert "weakly decreasing" not in out
+        assert out == ""
 
     def test_flow_increasing_floors_name_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "flow", "--floors", "0.5,0.9")
         assert code == 2
         assert "--floors: bad floors '0.5,0.9': floors must be non-increasing" in err
-        assert "weakly decreasing" not in out
+        assert out == ""
 
 
 class TestFlowCommand:
@@ -187,7 +194,8 @@ class TestFlowCommand:
     @pytest.mark.parametrize("flag, value", [("--margin", "inf"), ("--floors", "0.5,nan"),
                                              ("--window", "0,inf"), ("--step", "nan"),
                                              ("--step", "0"), ("--floors", "0.5,0.9"),
-                                             ("--window", "1,0"), ("--margin", "-1")])
+                                             ("--window", "1,0"), ("--margin", "-1"),
+                                             ("--horizon", "0"), ("--horizon", "-1")])
     def test_non_finite_flag_names_the_flag(self, capsys, flag, value):
         args = ["flow", "--floors", "0.5", "--no-meta", flag, value]
         code, out, err = run_cli(capsys, *args)

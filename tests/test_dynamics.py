@@ -299,6 +299,12 @@ class TestProfiles:
         with pytest.raises(ProfileError, match=rf"^{path}: profile value nan at t = 1/4"):
             load_piecewise_profile(path)
 
+    def test_loaded_profile_refuses_a_huge_exponent(self, tmp_path):
+        path = tmp_path / "exp.txt"
+        path.write_text("0 0\n5e-1 1\n1e10000000 0\n")
+        with pytest.raises(ProfileError, match=r"line 3: not a rational: '1e10000000'"):
+            load_piecewise_profile(path)
+
     def test_lipschitz_bounds(self):
         assert lift_lipschitz_bound(vnhn(2)) >= 1.0
         assert lift_lipschitz_bound(Translate(5, 5)) == 1.0
@@ -307,6 +313,9 @@ class TestProfiles:
 _T_TOKENS = st.one_of(
     st.sampled_from(["0", "1", "1/2", "1/4", "3/4", "0.5", "2", "-1/3", "1/0", "nan", "x"]),
     st.fractions(min_value=-1, max_value=2, max_denominator=16).map(str),
+    # decimal exponents, up to ones Fraction alone would take seconds to expand
+    st.tuples(st.sampled_from(["0", "1", "5", "2.5", "-1"]), st.sampled_from(["e", "E"]),
+              st.integers(-10**8, 10**8)).map(lambda p: f"{p[0]}{p[1]}{p[2]}"),
 )
 _V_TOKENS = st.one_of(
     st.sampled_from(["0", "1", "0.5", "nan", "-nan", "inf", "-inf", "1e400", "-0.0", "abc"]),
@@ -315,7 +324,7 @@ _V_TOKENS = st.one_of(
 _PROFILE_LINES = st.one_of(
     st.tuples(_T_TOKENS, _V_TOKENS).map(" ".join),
     st.sampled_from(["", "# comment", "0 0 0", "1/2"]),
-    st.text(alphabet="0123456789/.-+ naif#", max_size=12),
+    st.text(alphabet="0123456789/.-+ naifeE#", max_size=12),
 )
 # lines that fit between the frame's "0 0" and "1/2 1", often with a NaN
 _MID_LINES = st.tuples(st.fractions(min_value=0, max_value=0.5, max_denominator=16).map(str),

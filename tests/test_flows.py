@@ -23,6 +23,7 @@ from rotwidth.flows import (
     FlowError,
     NonContractingMapError,
     SectionRecrossError,
+    SectionReport,
     SlowdownProfile,
     annulus_model,
     box_profile,
@@ -107,6 +108,7 @@ def _ref_flow(field, x, t, *, step=1e-3):
 
 
 def _ref_crossings(field, level, *, horizon, samples, step):
+    """The Conley scan as two passes, at +horizon and at -horizon."""
     xs = np.linspace(0.0, 1.0, samples, endpoint=False)
     pts = np.column_stack([xs, np.full_like(xs, level)])
     rhs = _ref_velocity(field)
@@ -123,7 +125,29 @@ def _ref_crossings(field, level, *, horizon, samples, step):
             crossings += ((side != prev_side) & (prev_side != 0)).astype(int)
             prev_side = np.where(side != 0, side, prev_side)
         worst = max(worst, int(crossings.max()))
-    return worst, float(np.min(np.abs(rhs(pts)[:, 1])))
+    vy = rhs(pts)[:, 1]
+    return SectionReport(transversal_speed=float(np.min(np.abs(vy))), max_crossings=worst,
+                         future_side="above" if vy[0] > 0 else "below")
+
+
+def _ref_checklist(tau, v, r, y0):
+    """Items (1) to (3) of `annulus_model` as separate RK4 flows: each
+    boundary circle, the orbit point and the segment on their own."""
+    fld = AnnulusField(tau=tau, v=v)
+    xs = np.linspace(0.0, 1.0, 9)[:-1]
+    worst = 0.0
+    for ysign in (-1.0, 1.0):
+        pts = np.column_stack([xs, np.full_like(xs, ysign)])
+        img = _ref_flow(fld, pts, 1.0, step=1e-3)
+        worst = max(worst, float(np.max(np.abs(img - pts))))
+    measured = r / float(_ref_flow(fld, np.array([0.0, y0]), r, step=1e-3)[0])
+    offsets = np.array([-0.9, -0.5, 0.5, 0.9]) * flows._plateau_halfwidth(tau, y0)
+    seg = np.column_stack([np.zeros_like(offsets), y0 + offsets])
+    img = _ref_flow(fld, seg, r, step=1e-3)
+    contracted = bool(np.all(np.abs(img[:, 1] - y0) <= np.abs(offsets) + 1e-12)
+                      and np.all(np.sign(img[:, 1] - y0) == np.sign(offsets)))
+    x_err = float(np.max(np.abs(img[:, 0] - 1.0)))
+    return measured, [worst, abs(measured - r), x_err], x_err <= 1e-6 and contracted
 
 
 def _wobble(state):
@@ -151,6 +175,10 @@ def _dipping_below(state):
 
 
 _ANNULUS = AnnulusField(tau=make_annulus_tau(1.0), v=make_annulus_v(0.05))
+_ANNULUS_R2 = AnnulusField(tau=make_annulus_tau(2.0), v=make_annulus_v(0.05))
+_ANNULUS_Y03 = AnnulusField(tau=make_annulus_tau(1.0, y0=0.3), v=make_annulus_v(0.05, y0=0.3))
+# a zero of v on the zero scan's grid
+_GRID_Y0 = float(np.linspace(-0.999, 0.999, 4001)[1500])
 
 
 class TestTrajectoryReference:
@@ -176,19 +204,31 @@ class TestTrajectoryReference:
     @pytest.mark.parametrize("field, level", [
         (_ANNULUS, -0.6), (_ANNULUS, -0.3), (_ANNULUS, 0.35), (_ANNULUS, 0.7),
         (_wobble, 0.0), (_wobble, 0.4), (_dipping, 0.0), (_dipping_below, 0.0),
+        (_ANNULUS_R2, 0.5), (_ANNULUS_Y03, -0.2), (_ANNULUS_Y03, 0.6),
     ])
     def test_validate_matches_reference(self, field, level):
-        worst, speed = _ref_crossings(field, level, horizon=4.0, samples=12, step=1e-2)
+        want = _ref_crossings(field, level, horizon=4.0, samples=12, step=1e-2)
         section = ConleySection(level=level)
-        if worst > 0:
+        if want.max_crossings > 0:
             with pytest.raises(SectionRecrossError):
                 section.validate(field, horizon=4.0, samples=12, step=1e-2)
             return
         rep = section.validate(field, horizon=4.0, samples=12, step=1e-2)
-        assert (rep.max_crossings, rep.transversal_speed) == (worst, speed)
+        assert repr(rep) == repr(want)
 
     def test_reference_sees_a_recrossing(self):
-        assert _ref_crossings(_dipping, 0.0, horizon=4.0, samples=12, step=1e-2)[0] > 0
+        rep = _ref_crossings(_dipping, 0.0, horizon=4.0, samples=12, step=1e-2)
+        assert rep.max_crossings > 0
+
+    @pytest.mark.parametrize("r, y0", [(1.0, 0.0), (2.0, 0.0), (1.0, _GRID_Y0)])
+    def test_checklist_flows_match_reference_bytes(self, r, y0):
+        tau, v = make_annulus_tau(r, y0=y0), make_annulus_v(0.05, y0=y0)
+        measured, errors, seg_ok = _ref_checklist(tau, v, r, y0)
+        rep = annulus_model(tau, v, expected_period=r)
+        assert np.array([i.measured for i in rep.items[:3]]).tobytes() == \
+            np.array(errors).tobytes()
+        assert np.float64(rep.measured_period).tobytes() == np.float64(measured).tobytes()
+        assert rep.items[2].passed == seg_ok
 
     def test_experiments_match_reference_flow(self, monkeypatch):
         s = box_profile(0.0, 1.0, depth=0.5, margin=0.25)
@@ -230,6 +270,13 @@ class TestConjugateToConstant:
         with pytest.raises(FieldVanishesError):
             conjugate_to_constant(Field1D(lambda y: np.asarray(y) * 1.0),
                                   domain=(-1, 1))
+
+    def test_divergent_panel_raises(self):
+        # positive on all 201 samples, but 1/X is not integrable at c
+        c = 0.123456789
+        X = Field1D(lambda y: np.abs(np.asarray(y, dtype=float) - c) ** 1.5)
+        with pytest.raises(FlowError, match=r"panel \[0.0, 1.0\] did not converge"):
+            conjugate_to_constant(X, domain=(0.0, 1.0))
 
 
 class TestTimeCoordinate:
@@ -398,6 +445,12 @@ class TestStoppingLimit:
         with pytest.raises(FlowError):
             stopping_limit_experiment(constant_field(1.0), [0.1, 0.5])
 
+    @pytest.mark.parametrize("horizon", [0.0, -1.0, math.inf])
+    def test_horizon_must_be_positive(self, horizon):
+        # at time 0 every map is the identity, so the series would pass vacuously
+        with pytest.raises(FlowError, match="horizon must be positive and finite"):
+            stopping_limit_experiment(constant_field(0.1), [0.5, 0.25], horizon=horizon)
+
     def test_csv_shape(self):
         series = stopping_limit_experiment(constant_field(0.1), [0.5, 0.25])
         csv = series.to_csv(include_runtime=False)
@@ -463,6 +516,34 @@ class TestAnnulusModel:
                             expected_period=2.0)
         assert rep.passed
         assert abs(rep.measured_period - 2.0) < 1e-3
+
+    @pytest.mark.parametrize("y0", [0.0, _GRID_Y0])
+    def test_heights_match_a_1d_rk4_flow(self, y0):
+        # the time coordinate of y' = v(y) against RK4 on that equation
+        v = make_annulus_v(0.05, y0=y0)
+        starts = np.array([-0.8, -0.4, 0.35, 0.8])
+        ends = flow(Field1D(v), starts, 20.0, step=1e-3)
+        for ys, end in zip(starts, ends):
+            gap = flows._height_gap(v, float(ys), y0, 20.0, 5e-9)
+            assert gap == pytest.approx(abs(end - y0), abs=1e-9)
+
+    def test_fast_convergence_reports_the_bound(self):
+        # at amplitude 0.5 every height is within dmin = omega_tol * 1e-6
+        # of y0 long before the horizon
+        rep = annulus_model(make_annulus_tau(1.0), make_annulus_v(0.5), expected_period=1.0)
+        assert rep.passed
+        assert rep.items[3].measured == 5e-3 * 1e-6
+
+    @pytest.mark.parametrize("start, touch", [
+        (0.8, lambda y: (y - 0.5) ** 2),  # a double zero: 1/v is not integrable
+        (-0.8, lambda y: (y + 0.5) ** 2),
+        (0.8, lambda y: np.minimum(20 * np.abs(y - 0.5), 1.0)),  # a kink onto 0
+    ], ids=["double-zero-above", "double-zero-below", "kink-above"])
+    def test_v_touching_zero_on_the_way_raises(self, start, touch):
+        base = make_annulus_v(0.05)
+        v = lambda y: base(y) * touch(np.asarray(y, dtype=float))
+        with pytest.raises(FlowError, match=f"from y = {start}"):
+            annulus_model(make_annulus_tau(1.0), v, expected_period=1.0)
 
 
 class TestConleySection:
@@ -555,6 +636,8 @@ class TestExperimentConfig:
         ("floors = 0.5,0.9\n", "line 1: bad floors '0.5,0.9': floors must be non-increasing"),
         ("floors = 0\n", "line 1: bad floors '0': floors must be positive and at most 1"),
         ("floors = 0.5\nstep = 0\n", "line 2: bad step '0': step must be positive and finite"),
+        ("floors = 0.5\nhorizon = 0\n",
+         "line 2: bad horizon '0': horizon must be positive and finite"),
         ("floors = 0.5\n# again\nfloors = 0.25\n", "line 3: floors is already set on line 1"),
         ("floors = 0.5\nbogus = 1\n", "line 2: unknown config key 'bogus'"),
     ])

@@ -2,6 +2,7 @@
 
 import math
 import os
+import re
 import subprocess
 import sys
 from fractions import Fraction as F
@@ -333,6 +334,14 @@ class TestPolygonIO:
         with pytest.raises(PolygonFormatError) as err:
             parse_polygon_text("0 0\n\nx y\n")
         assert err.value.line == 3
+
+    def test_decimal_exponents(self):
+        pts = parse_polygon_text("2.5e3 1E-3\n1e1000 -1e-1000\n")
+        assert pts == [point(2500, F(1, 1000)), point(10 ** 1000, F(-1, 10 ** 1000))]
+        for token in ("1e1001", "1E-1001", "1e10000000", "1e+99999999999"):
+            message = re.escape(f"line 2: not a rational: '{token}'")
+            with pytest.raises(PolygonFormatError, match=message):
+                parse_polygon_text(f"0 0\n0 {token}\n")
 
 
 class TestHausdorffAndDilate:
