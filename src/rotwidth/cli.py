@@ -6,10 +6,11 @@ certificates), verify (verification suites), flow (stopping-limit
 experiment), search (random search for wide polygons with few interior
 lattice points; reporting only, no claims).
 
-Exit codes: 0 success, 1 verification failure, 2 input error.  Every run
-prints a reproducibility header; with --no-meta, outputs contain no
-timing or other non-reproducible fields, so identical invocations produce
-byte-identical text.
+Exit codes: 0 success, 1 verification failure, 2 input error.  Each
+subcommand runs first and prints afterwards, so an input error exits 2
+with empty stdout.  Every finished run prints a reproducibility header;
+with --no-meta, outputs contain no timing or other non-reproducible
+fields, so identical invocations produce byte-identical text.
 """
 
 from __future__ import annotations
@@ -24,11 +25,11 @@ from . import geometry as geo
 from .dynamics import rotation_set_estimate
 from .finegraph import certify_no_roots
 from .flows import (
-    ExperimentConfig,
     FlowError,
     config_value,
+    constant_field,
     parse_experiment_config,
-    run_experiment,
+    stopping_limit_experiment,
 )
 from .geometry import GeometryError, PolygonFormatError, hausdorff_distance, point
 from .mapdsl import DslParseError, format_caret, parse_map
@@ -48,15 +49,21 @@ def _header(cmd: str, seed, params: str) -> str:
     return f"# rotwidth {__version__} | {cmd} | seed={seed} | {params}"
 
 
+def _write(path, text: str) -> None:
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
+    print(f"wrote {path}")
+
+
 def cmd_ew(args) -> int:
     C = geo.load_polygon(args.polygon)
-    print(_header("ew", "-", f"file={args.polygon} oracle_radius={args.oracle_radius}"))
     detail = geo.essential_width_detail(C)
+    oracle = None if args.oracle_radius is None else geo.ew_oracle(C, args.oracle_radius)
+    print(_header("ew", "-", f"file={args.polygon} oracle_radius={args.oracle_radius}"))
     print(f"EW = {detail.value}")
     print(f"direction = ({detail.direction[0]}, {detail.direction[1]})")
     print(f"dimension = {C.dimension}")
-    if args.oracle_radius is not None:
-        oracle = geo.ew_oracle(C, args.oracle_radius)
+    if oracle is not None:
         agrees = "agrees" if oracle == detail.value else "DISAGREES"
         print(f"oracle(radius={args.oracle_radius}) = {oracle} [{agrees}]")
         if oracle != detail.value and args.oracle_radius >= detail.oracle_radius:
@@ -65,12 +72,11 @@ def cmd_ew(args) -> int:
 
 
 def cmd_rotset(args) -> int:
-    expr = parse_map(args.expr)
+    est = rotation_set_estimate(parse_map(args.expr), args.grid, args.iters,
+                                sampler=args.sampler, seed=args.seed)
     print(_header("rotset", args.seed,
                   f'expr="{args.expr}" grid={args.grid} iters={args.iters}'
                   f" sampler={args.sampler}"))
-    est = rotation_set_estimate(expr, args.grid, args.iters,
-                                sampler=args.sampler, seed=args.seed)
     print(f"inner hull vertices = {len(est.inner_hull.vertices)}")
     print(f"outer hull vertices = {len(est.outer_hull.vertices)}")
     print(f"converged fraction = {est.converged_fraction:.4f}")
@@ -91,61 +97,46 @@ def cmd_rotset(args) -> int:
             f'rotwidth {__version__} rotset expr="{args.expr}"'
             f" grid={args.grid} iters={args.iters} seed={args.seed}"
         )
-        text = rotation_set_svg(est.inner_hull, est.outer_hull,
-                                reference_box=args.expect_box, meta=meta)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.svg}")
+        _write(args.svg, rotation_set_svg(est.inner_hull, est.outer_hull,
+                                          reference_box=args.expect_box, meta=meta))
     return OK
 
 
 def cmd_roots(args) -> int:
-    ew = geo.to_rational(args.ew)
-    upper = geo.to_rational(args.length_upper)
-    print(_header("roots", "-", f"ew={ew} length_upper={upper}"))
-    cert = certify_no_roots(ew, upper)
+    cert = certify_no_roots(args.ew, args.length_upper)
+    print(_header("roots", "-", f"ew={cert.ew} length_upper={cert.length_upper}"))
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(cert.transcript)
-        print(f"wrote {args.out}")
+        _write(args.out, cert.transcript)
     print(cert.transcript, end="")
     return OK
 
 
 def cmd_verify(args) -> int:
-    if args.suite == "flow":
-        floors = config_value("floors", args.floors, "--floors")
-        field = config_value("field", f"const:{args.field_value}", "--field-value")
-    print(_header("verify", args.seed, f"suite={args.suite}"))
     if args.suite == "compare-width":
         result = run_compare_width_suite(args.count, args.seed)
     elif args.suite == "vnhn":
         result = run_vnhn_suite(args.n)
-        if args.svg:
-            # sampled (essential width, length upper bound) pairs for the
-            # shear family: width of [0,n]^2 against the chain bound 2.
-            # A reproduction aid; no boundary of the attainable region is
-            # claimed.
-            pairs = []
-            for n in range(1, args.n + 1):
-                box = geo.ConvexPolygonQ([point(0, 0), point(n, 0),
-                                          point(n, n), point(0, n)])
-                pairs.append((float(geo.essential_width(box)), 2.0))
-            meta = None if args.no_meta else f"rotwidth {__version__} vnhn scatter"
-            with open(args.svg, "w", encoding="utf-8") as fh:
-                fh.write(scatter_svg(pairs, meta=meta))
-            print(f"wrote {args.svg}")
     elif args.suite == "power-scaling":
-        result = run_power_scaling_suite(args.k, args.grid, args.iters,
-                                         seed=args.seed)
-    elif args.suite == "flow":
-        result = run_flow_suite(floors, field)
-        if args.out:
-            with open(args.out, "w", encoding="utf-8") as fh:
-                fh.write(result.series.to_csv(include_runtime=not args.no_meta))
-            print(f"wrote {args.out}")
-    else:  # pragma: no cover - argparse restricts choices
-        raise GeometryError(f"unknown suite {args.suite!r}")
+        result = run_power_scaling_suite(args.k, args.grid, args.iters, seed=args.seed)
+    else:
+        result = run_flow_suite(
+            config_value("floors", args.floors, "--floors"),
+            config_value("field", f"const:{args.field_value}", "--field-value"))
+    print(_header("verify", args.seed, f"suite={args.suite}"))
+    if args.suite == "vnhn" and args.svg:
+        # sampled (essential width, length upper bound) pairs for the
+        # shear family: width of [0,n]^2 against the chain bound 2.
+        # A reproduction aid; no boundary of the attainable region is
+        # claimed.
+        pairs = []
+        for n in range(1, args.n + 1):
+            box = geo.ConvexPolygonQ([point(0, 0), point(n, 0),
+                                      point(n, n), point(0, n)])
+            pairs.append((float(geo.essential_width(box)), 2.0))
+        meta = None if args.no_meta else f"rotwidth {__version__} vnhn scatter"
+        _write(args.svg, scatter_svg(pairs, meta=meta))
+    if args.suite == "flow" and args.out:
+        _write(args.out, result.series.to_csv(include_runtime=not args.no_meta))
     for line in result.format_lines():
         print(line)
     return OK if result.passed else VERIFY_FAILED
@@ -154,31 +145,28 @@ def cmd_verify(args) -> int:
 def cmd_flow(args) -> int:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            cfg = parse_experiment_config(fh.read())
+            kwargs = parse_experiment_config(fh.read())
+    elif not args.floors:
+        raise FlowError("need --config or --floors")
     else:
-        if not args.floors:
-            raise FlowError("need --config or --floors")
-        cfg = ExperimentConfig(**{
-            key: config_value(key, getattr(args, key), f"--{key}")
-            for key in ("field", "floors", "window", "margin", "step", "horizon")})
+        kwargs = {key: config_value(key, text, f"--{key}")
+                  for key in ("field", "floors", "window", "margin", "step", "horizon")
+                  if (text := getattr(args, key)) is not None}
+    kwargs.setdefault("field", constant_field(0.1))
+    series = stopping_limit_experiment(**kwargs)
     print(_header("flow", "-",
-                  f"field={cfg.field.name} floors={','.join(str(f) for f in cfg.floors)}"
-                  f" window={cfg.window[0]},{cfg.window[1]} margin={cfg.margin}"))
-    series = run_experiment(cfg)
+                  f"field={series.field_name}"
+                  f" floors={','.join(str(r.floor) for r in series.rows)}"
+                  f" window={series.window[0]},{series.window[1]} margin={series.margin}"))
     csv_text = series.to_csv(include_runtime=not args.no_meta)
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(csv_text)
-        print(f"wrote {args.out}")
+        _write(args.out, csv_text)
     else:
         print(csv_text, end="")
     if args.svg:
         meta = None if args.no_meta else f"rotwidth {__version__} flow"
-        text = series_svg([r.floor for r in series.rows], series.distances(),
-                          meta=meta)
-        with open(args.svg, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        print(f"wrote {args.svg}")
+        _write(args.svg, series_svg([r.floor for r in series.rows], series.distances(),
+                                    meta=meta))
     decreasing = series.is_weakly_decreasing()
     print(f"weakly decreasing: {'yes' if decreasing else 'NO'}")
     return OK if decreasing else VERIFY_FAILED
@@ -188,7 +176,6 @@ def cmd_search(args) -> int:
     """Random search for wide polygons whose interior misses three
     non-aligned lattice points.  Reports the best sample found; this is a
     search aid only and asserts nothing about maximality."""
-    print(_header("search", args.seed, f"count={args.count}"))
     rng = random.Random(args.seed)
     best = None
     best_ew = Fraction(0)
@@ -199,6 +186,7 @@ def cmd_search(args) -> int:
         ew = geo.essential_width(C)
         if ew > best_ew:
             best, best_ew = C, ew
+    print(_header("search", args.seed, f"count={args.count}"))
     if best is None:
         print("no admissible polygon sampled")
     else:
@@ -264,11 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("flow", help="stopping-limit experiment (CSV/SVG)")
     p.add_argument("--config", default=None, help="key=value experiment file")
     p.add_argument("--floors", default=None, help="comma-separated slowdown floors")
-    p.add_argument("--field", default="const:0.1")
-    p.add_argument("--window", default="0,1")
-    p.add_argument("--margin", default="0.5")
-    p.add_argument("--step", default="1e-3")
-    p.add_argument("--horizon", default="1.0")
+    for flag in ("--field", "--window", "--margin", "--step", "--horizon"):
+        p.add_argument(flag, help="value as in a config file")
     p.add_argument("--out", default=None, help="CSV output path (default stdout)")
     p.add_argument("--svg", default=None)
     p.add_argument("--no-meta", action="store_true")

@@ -836,17 +836,6 @@ def equivariant_arc_conjugacy(phi1: Callable, phi2: Callable) -> ArcConjugacy:
 # ---------------------------------------------------------------------------
 # Experiment configuration files (key = value)
 
-@dataclass
-class ExperimentConfig:
-    field: Field1D
-    floors: list[float]
-    window: tuple[float, float] = (0.0, 1.0)
-    margin: float = 0.5
-    step: float = 1e-3
-    horizon: float = 1.0
-    grid: tuple[float, float, int] | None = None
-
-
 def parse_field_spec(spec: str) -> Field1D:
     kind, _, arg = spec.partition(":")
     if kind == "const":
@@ -866,11 +855,11 @@ def _pair(text: str) -> tuple[float, float]:
     return _finite(a), _finite(b)
 
 
-def _grid(text: str) -> tuple[float, float, int]:
+def _grid(text: str) -> np.ndarray:
     lo, hi, n = text.split(":")
     if int(n) < 2:
         raise ValueError("a grid needs n >= 2 points")
-    return _finite(lo), _finite(hi), int(n)
+    return np.linspace(_finite(lo), _finite(hi), int(n))
 
 
 _CONFIG_KEYS = {
@@ -893,15 +882,17 @@ def config_value(key: str, text: str, where: str):
         raise FlowError(f"{where}: bad {key} {text!r}: {exc}") from None
 
 
-def parse_experiment_config(text: str) -> ExperimentConfig:
-    """Parse a key=value experiment file.
+def parse_experiment_config(text: str) -> dict:
+    """Parse a key=value experiment file into the keyword arguments of
+    `stopping_limit_experiment` that it sets; unset keys keep that
+    function's defaults.
 
     Keys: field (const:<v>), floors (comma list), window (a,b), margin,
     step, horizon, grid (lo:hi:n, n >= 2).  Every error names its line:
     unknown keys, bad values and a key set twice (which names both lines).
     """
     values, lines = {}, {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -916,16 +907,4 @@ def parse_experiment_config(text: str) -> ExperimentConfig:
         lines[key] = lineno
     if "floors" not in values:
         raise FlowError("config must set floors")
-    values.setdefault("field", constant_field(0.1))
-    return ExperimentConfig(**values)
-
-
-def run_experiment(cfg: ExperimentConfig) -> ExperimentSeries:
-    grid = None
-    if cfg.grid is not None:
-        lo, hi, n = cfg.grid
-        grid = np.linspace(lo, hi, n)
-    return stopping_limit_experiment(
-        cfg.field, cfg.floors, window=cfg.window, margin=cfg.margin,
-        grid=grid, step=cfg.step, horizon=cfg.horizon,
-    )
+    return values

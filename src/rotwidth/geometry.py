@@ -639,7 +639,7 @@ def hausdorff_distance(P: ConvexPolygonQ, Q: ConvexPolygonQ) -> float:
 
 def parse_polygon_text(text: str) -> list[Point2Q]:
     pts = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue

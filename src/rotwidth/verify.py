@@ -85,6 +85,8 @@ def run_compare_width_suite(count: int = 10**4, seed: int = 7) -> SuiteResult:
     at the reported radius (exact), and both width-versus-interior-points
     implications.
     """
+    if count < 1:
+        raise ValueError(f"polygon count must be >= 1, got {count}")
     rng = random.Random(seed)
     result = SuiteResult(f"compare-width[count={count},seed={seed}]")
     inv_ok = hom_ok = orc_ok = cw_ok = 0
@@ -122,6 +124,8 @@ def run_compare_width_suite(count: int = 10**4, seed: int = 7) -> SuiteResult:
 def run_vnhn_suite(max_n: int = 64) -> SuiteResult:
     """Adjacency-chain bound |V^n H^n| <= 2 for every n up to max_n, for
     both profile kinds, plus the (VH)^n substitution failure path."""
+    if max_n < 1:
+        raise ValueError(f"max_n must be >= 1, got {max_n}")
     result = SuiteResult(f"vnhn[max_n={max_n}]")
     for prof_name, prof in (("sinsq", default_profile()), ("tent", tent_profile())):
         ok = 0

@@ -168,6 +168,12 @@ class TestFlowCommand:
         assert "floor,sup_distance,runtime_s" in out
         assert "weakly decreasing: yes" in out
 
+    def test_header_reports_library_defaults(self, capsys):
+        code, out, _ = run_cli(capsys, "flow", "--floors", "0.5,0.25", "--no-meta")
+        assert code == 0
+        assert out.splitlines()[0].endswith(
+            "field=const:0.1 floors=0.5,0.25 window=0.0,1.0 margin=0.5")
+
     def test_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "exp.cfg"
         cfg.write_text("field = const:0.1\nfloors = 0.5,0.25\ngrid = -2:3:41\n")
@@ -231,6 +237,24 @@ class TestDeterminism:
         _, out2, _ = run_cli(capsys, "search", "--count", "100", "--seed", "5")
         assert out1 == out2
         assert "no maximality claim" in out1
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["rotset", "V", "--grid", "1"], "grid must be >= 2"),
+    (["rotset", "V", "--iters", "0"], "iterate count must be >= 1"),
+    (["ew", "{triangle}", "--oracle-radius", "0"], "oracle radius must be >= 1"),
+    (["verify", "--suite", "power-scaling", "--k", "0"], "power must be >= 1"),
+    (["verify", "--suite", "vnhn", "--n", "0"], "max_n must be >= 1, got 0"),
+    (["verify", "--suite", "compare-width", "--count", "0"],
+     "polygon count must be >= 1, got 0"),
+])
+def test_range_error_prints_nothing_on_stdout(tmp_path, capsys, argv, message):
+    poly = tmp_path / "tri.txt"
+    poly.write_text(TRIANGLE)
+    code, out, err = run_cli(capsys, *(a.format(triangle=poly) for a in argv))
+    assert code == 2
+    assert out == ""
+    assert message in err
 
 
 class TestFlagContract:

@@ -344,6 +344,29 @@ class TestPolygonIO:
                 parse_polygon_text(f"0 0\n0 {token}\n")
 
 
+# str.splitlines() also breaks at these; the polygon format breaks only at "\n"
+_OTHER_BREAKS = ["\x85", "\x0c", "\u2028", "\r"]
+_POLYGON_LINES = st.one_of(
+    st.sampled_from(["0 0", "1/2 3", "-1 2.5e1", "# comment", "", "1 2 3", "x y", "1/0 1",
+                     "1e1001 0", "0 0 # note"]),
+    st.text(alphabet="0123456789/.-+eE #x" + "".join(_OTHER_BREAKS), max_size=12),
+)
+_POLYGON_TEXTS = st.lists(
+    st.tuples(_POLYGON_LINES, st.sampled_from(["\n", "\n", *_OTHER_BREAKS])), max_size=8,
+).map(lambda parts: "".join(line + sep for line, sep in parts))
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=_POLYGON_TEXTS)
+def test_polygon_fuzz_gives_points_or_located_error(text):
+    try:
+        pts = parse_polygon_text(text)
+    except PolygonFormatError as err:
+        assert 1 <= err.line <= text.count("\n") + 1
+        return
+    assert pts
+
+
 class TestHausdorffAndDilate:
     def test_identical_polygons(self):
         assert hausdorff_distance(unit_square(), unit_square()) == 0.0
