@@ -72,6 +72,8 @@ def cmd_ew(args) -> int:
 
 
 def cmd_rotset(args) -> int:
+    if args.expect_box is not None and args.expect_box < 1:
+        raise ValueError(f"--expect-box must be >= 1, got {args.expect_box}")
     est = rotation_set_estimate(parse_map(args.expr), args.grid, args.iters,
                                 sampler=args.sampler, seed=args.seed)
     print(_header("rotset", args.seed,
@@ -176,6 +178,8 @@ def cmd_search(args) -> int:
     """Random search for wide polygons whose interior misses three
     non-aligned lattice points.  Reports the best sample found; this is a
     search aid only and asserts nothing about maximality."""
+    if args.count < 1:
+        raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = random.Random(args.seed)
     best = None
     best_ew = Fraction(0)

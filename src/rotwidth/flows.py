@@ -16,10 +16,13 @@ it against.  The annulus checklist uses it too, for the heights of its
 sampled orbits, which solve y' = v(y) on their own.
 
 A field is its velocity: called on a state, it returns the velocity there.
-Integration is classical fixed-step RK4 in one loop, `_trajectory`, under
-`flow` and the Conley scan; the fields involved are C^1, so no
-higher-order smoothness is assumed or exploited.  All experiment drivers
-are deterministic given their (grid, step, seed) parameters.
+The model fields and profiles keep a float contract: a float in gives a
+float out; arrays broadcast.  So `quad` and `brentq`, which call them on
+single floats, never pay for NumPy on a scalar.  Integration is
+classical fixed-step RK4 in one loop, `_trajectory`, under `flow` and
+the Conley scan; the fields involved are C^1, so no higher-order
+smoothness is assumed or exploited.  All experiment drivers are
+deterministic given their (grid, step, seed) parameters.
 """
 
 from __future__ import annotations
@@ -58,9 +61,19 @@ class NonContractingMapError(FlowError):
 # ---------------------------------------------------------------------------
 # Fields and flows
 
+def _real(u):
+    """`u` itself when it is a float (np.float64 included), else a float
+    array: the one coercion of the model fields, so a float stays off NumPy."""
+    return u if isinstance(u, float) else np.asarray(u, dtype=float)
+
+
 @dataclass
 class Field1D:
-    """Vector field on the line; `fn` must accept floats or numpy arrays."""
+    """Vector field on the line; `fn` must accept floats or numpy arrays.
+
+    The model fields here keep the float contract: a float in gives a
+    float out; arrays broadcast.
+    """
 
     fn: Callable
     name: str = "field"
@@ -92,7 +105,7 @@ FlowField = Union[Field1D, AnnulusField]
 
 def constant_field(value: float) -> Field1D:
     v = float(value)
-    return Field1D(lambda y: v + 0.0 * np.asarray(y, dtype=float), name=f"const:{v:g}")
+    return Field1D(lambda y: v + 0.0 * _real(y), name=f"const:{v:g}")
 
 
 def _positive(name: str, value: float) -> float:
@@ -234,7 +247,9 @@ def conjugate_to_constant(X: Field1D, *, domain: tuple[float, float] = (-50.0, 5
 # Slowdown and stopping profiles
 
 def _smoothstep(u, a: float, b: float):
-    t = np.clip((np.asarray(u, dtype=float) - a) / (b - a), 0.0, 1.0)
+    s = (_real(u) - a) / (b - a)
+    # max(s, 0.0) keeps s first, so a NaN passes through as with np.clip
+    t = min(max(s, 0.0), 1.0) if isinstance(s, float) else np.minimum(np.maximum(s, 0.0), 1.0)
     return t * t * (3.0 - 2.0 * t)
 
 
@@ -281,6 +296,8 @@ def box_profile(a: float, b: float, *, depth: float, margin: float) -> SlowdownP
     zero set [a, b]."""
     _window(a, b)
     _positive("margin", margin)
+    if not (a - margin < a and b < b + margin):
+        raise FlowError(f"margin {margin} vanishes in rounding next to the window [{a}, {b}]")
     if not (0.0 <= depth <= 1.0):
         raise FlowError("depth must lie in [0, 1]")
 
@@ -302,7 +319,7 @@ def with_floor(stopping: SlowdownProfile, floor: float) -> SlowdownProfile:
     eps = float(floor)
 
     def fn(u):
-        return eps + (1.0 - eps) * np.asarray(s0(u), dtype=float)
+        return eps + (1.0 - eps) * _real(s0(u))
 
     return SlowdownProfile(fn=fn, tau_minus=stopping.tau_minus,
                            tau_plus=stopping.tau_plus, floor=eps,
@@ -313,12 +330,11 @@ def scaled_field(field: FlowField, s: Callable) -> FlowField:
     """The reparameterized field s*X; for annulus fields s acts on the
     height coordinate and scales both components."""
     if isinstance(field, Field1D):
-        return Field1D(lambda y: np.asarray(s(y), dtype=float) * np.asarray(field(y), dtype=float),
-                       name=f"slowed({field.name})")
+        return Field1D(lambda y: _real(s(y)) * _real(field(y)), name=f"slowed({field.name})")
     if isinstance(field, AnnulusField):
         return AnnulusField(
-            tau=lambda y: np.asarray(s(y), dtype=float) * np.asarray(field.tau(y), dtype=float),
-            v=lambda y: np.asarray(s(y), dtype=float) * np.asarray(field.v(y), dtype=float),
+            tau=lambda y: _real(s(y)) * _real(field.tau(y)),
+            v=lambda y: _real(s(y)) * _real(field.v(y)),
             name=f"slowed({field.name})",
         )
     raise TypeError(f"not a flow field: {field!r}")
@@ -531,7 +547,7 @@ def make_annulus_v(amplitude: float, *, y0: float = 0.0) -> Callable:
     negative above it."""
 
     def v(y):
-        ya = np.asarray(y, dtype=float)
+        ya = _real(y)
         bump = _smoothstep(ya, -1.0, -0.9) * (1.0 - _smoothstep(ya, 0.9, 1.0))
         return amplitude * (y0 - ya) * bump
 
@@ -690,7 +706,7 @@ def _height_gap(v: Callable, ys: float, y0: float, t: float, dmin: float) -> flo
     if gap <= 0.0:
         return dmin
     g = conjugate_to_constant(
-        Field1D(lambda u: side * np.asarray(v(ys + side * u), dtype=float),
+        Field1D(lambda u: side * _real(v(ys + side * u)),
                 name=f"height speed from y = {ys!r}"),
         domain=(0.0, gap))
     if t > g.to_time(gap):

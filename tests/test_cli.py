@@ -247,6 +247,12 @@ class TestDeterminism:
     (["verify", "--suite", "vnhn", "--n", "0"], "max_n must be >= 1, got 0"),
     (["verify", "--suite", "compare-width", "--count", "0"],
      "polygon count must be >= 1, got 0"),
+    (["search", "--count", "0"], "--count must be >= 1, got 0"),
+    (["search", "--count", "-3"], "--count must be >= 1, got -3"),
+    (["rotset", "V", "--grid", "4", "--iters", "5", "--expect-box", "0"],
+     "--expect-box must be >= 1, got 0"),
+    (["rotset", "V H", "--grid", "4", "--iters", "5", "--expect-box", "-1"],
+     "--expect-box must be >= 1, got -1"),
 ])
 def test_range_error_prints_nothing_on_stdout(tmp_path, capsys, argv, message):
     poly = tmp_path / "tri.txt"

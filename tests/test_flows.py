@@ -6,6 +6,7 @@ import os
 import subprocess
 import sys
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -378,6 +379,11 @@ class TestSlowdownConjugacy:
         with pytest.raises(FlowError, match="finite|must lie in"):
             box_profile(a, b, depth=depth, margin=margin)
 
+    @pytest.mark.parametrize("a, b", [(1e17, 1e17), (-1e17, 0.0), (0.0, 1e17)])
+    def test_box_profile_rejects_a_margin_lost_to_rounding(self, a, b):
+        with pytest.raises(FlowError, match="vanishes in rounding"):
+            box_profile(a, b, depth=0.5, margin=1.0)
+
     def test_map_outside_the_domain_raises(self):
         conj = slowdown_conjugacy_1d(box_profile(0.0, 1.0, depth=0.5, margin=0.25))
         with pytest.raises(FlowError):
@@ -675,3 +681,112 @@ def test_config_fuzz_gives_config_or_flow_error(text):
         return
     assert "floors" in cfg
     assert set(cfg) <= set(inspect.signature(stopping_limit_experiment).parameters)
+
+
+# ---------------------------------------------------------------------------
+# Float path of the model fields against the np.clip reference
+
+def _ref_smoothstep(u, a, b):
+    """`flows._smoothstep` as it was on NumPy only: every input through
+    np.asarray and np.clip."""
+    t = np.clip((np.asarray(u, dtype=float) - a) / (b - a), 0.0, 1.0)
+    return t * t * (3.0 - 2.0 * t)
+
+
+def _ref_box(u, a, b, depth, margin):
+    window = _ref_smoothstep(u, a - margin, a) * (1.0 - _ref_smoothstep(u, b, b + margin))
+    return 1.0 - (1.0 - depth) * window
+
+
+def _ref_tau(y, r, y0):
+    rise = _ref_smoothstep(y, -0.8, y0 - 0.25)
+    fall = 1.0 - _ref_smoothstep(y, y0 + 0.25, 0.8)
+    return (1.0 / r) * rise * fall
+
+
+def _ref_v(y, amplitude, y0):
+    ya = np.asarray(y, dtype=float)
+    bump = _ref_smoothstep(ya, -1.0, -0.9) * (1.0 - _ref_smoothstep(ya, 0.9, 1.0))
+    return amplitude * (y0 - ya) * bump
+
+
+def _height_speed(v, ys, y0):
+    """The field `_height_gap` hands to its time coordinate."""
+    with mock.patch.object(flows, "conjugate_to_constant",
+                           side_effect=StopIteration) as caught:
+        with pytest.raises(StopIteration):
+            flows._height_gap(v, ys, y0, 1.0, 1e-9)
+    return caught.call_args.args[0]
+
+
+def _bits(x):
+    return np.asarray(x, dtype=np.float64).tobytes()
+
+
+def _assert_float_path(fn, ref, xs, ends):
+    """fn against ref on each float, at the ramp ends and the specials,
+    as floats (a float comes back) and packed into one array."""
+    xs = [*xs, *ends, *(e + d for e in ends for d in (-1e-3, 1e-3, -5.0, 5.0)),
+          0.0, -0.0, math.inf, -math.inf, math.nan]
+    with np.errstate(all="ignore"):
+        for x in xs:
+            got = fn(x)
+            assert type(got) is float, (x, type(got))
+            assert _bits(got) == _bits(ref(x)), x
+        packed = np.array(xs)
+        assert _bits(fn(packed)) == _bits(ref(packed))
+
+
+_POINTS = st.lists(st.floats(allow_nan=True, allow_infinity=True), max_size=12)
+_FLOAT_PATH = settings(max_examples=150, deadline=None)
+
+
+class TestFloatPath:
+    @_FLOAT_PATH
+    @given(_POINTS, st.floats(-20, 20), st.floats(1e-6, 10))
+    def test_smoothstep(self, xs, a, width):
+        b = a + width
+        _assert_float_path(lambda u: flows._smoothstep(u, a, b),
+                           lambda u: _ref_smoothstep(u, a, b), xs, (a, b))
+
+    @_FLOAT_PATH
+    @given(_POINTS, st.floats(-10, 10), st.floats(0, 5), st.floats(0, 1),
+           st.floats(1e-3, 3), st.floats(1e-3, 1))
+    def test_box_floor_and_scaled(self, xs, a, width, depth, margin, eps):
+        b = a + width
+        ends = (a - margin, a, b, b + margin)
+        box = box_profile(a, b, depth=depth, margin=margin)
+        _assert_float_path(box.fn, lambda u: _ref_box(u, a, b, depth, margin), xs, ends)
+        floored = flows.with_floor(box_profile(a, b, depth=0.0, margin=margin), eps)
+        ref_floored = lambda u: eps + (1.0 - eps) * np.asarray(
+            _ref_box(u, a, b, 0.0, margin), dtype=float)
+        _assert_float_path(floored.fn, ref_floored, xs, ends)
+        slowed = scaled_field(constant_field(0.1), floored.fn)
+        _assert_float_path(slowed, lambda u: np.asarray(ref_floored(u), dtype=float)
+                           * (0.1 + 0.0 * np.asarray(u, dtype=float)), xs, ends)
+
+    @_FLOAT_PATH
+    @given(_POINTS, st.floats(-1e300, 1e300))
+    def test_constant_field(self, xs, c):
+        _assert_float_path(constant_field(c), lambda u: c + 0.0 * np.asarray(u, dtype=float),
+                           xs, ())
+
+    @_FLOAT_PATH
+    @given(_POINTS, st.floats(0.05, 20), st.floats(-0.5, 0.5), st.floats(-1, 1),
+           st.floats(-0.9, 0.9))
+    def test_annulus_fields(self, xs, r, y0, amplitude, ys):
+        ends = (-1.0, -0.9, -0.8, y0 - 0.25, y0 + 0.25, 0.8, 0.9, 1.0)
+        tau, v = make_annulus_tau(r, y0=y0), make_annulus_v(amplitude, y0=y0)
+        _assert_float_path(tau, lambda y: _ref_tau(y, r, y0), xs, ends)
+        _assert_float_path(v, lambda y: _ref_v(y, amplitude, y0), xs, ends)
+        s = box_profile(-0.5, 0.5, depth=0.25, margin=0.25)
+        slowed = scaled_field(AnnulusField(tau=tau, v=v), s.fn)
+        _assert_float_path(slowed.tau, lambda y: np.asarray(_ref_box(y, -0.5, 0.5, 0.25, 0.25))
+                           * np.asarray(_ref_tau(y, r, y0)), xs, ends)
+        _assert_float_path(slowed.v, lambda y: np.asarray(_ref_box(y, -0.5, 0.5, 0.25, 0.25))
+                           * np.asarray(_ref_v(y, amplitude, y0)), xs, ends)
+        if abs(y0 - ys) > 1e-6:
+            side = math.copysign(1.0, y0 - ys)
+            _assert_float_path(_height_speed(v, ys, y0),
+                               lambda u: side * _ref_v(ys + side * np.asarray(u), amplitude, y0),
+                               xs, (0.0, abs(y0 - ys)))
