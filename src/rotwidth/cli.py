@@ -6,6 +6,14 @@ certificates), verify (verification suites), flow (stopping-limit
 experiment), search (random search for wide polygons with few interior
 lattice points; reporting only, no claims).
 
+Each subcommand imports the layers it runs when it runs, so the import
+of this module loads only the standard library and rotwidth.geometry.
+ew, search and verify --suite compare-width run on exact geometry alone
+and load neither NumPy nor SciPy.  roots, rotset and verify --suite vnhn
+or power-scaling load NumPy; rotset --sampler halton loads
+scipy.stats as well.  flow and verify --suite flow load SciPy's quad and
+brentq.
+
 Exit codes: 0 success, 1 verification failure, 2 input error.  Each
 subcommand runs first and prints afterwards, so an input error exits 2
 with empty stdout.  Every finished run prints a reproducibility header;
@@ -22,25 +30,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import geometry as geo
-from .dynamics import rotation_set_estimate
-from .finegraph import certify_no_roots
-from .flows import (
-    FlowError,
-    config_value,
-    constant_field,
-    parse_experiment_config,
-    stopping_limit_experiment,
-)
-from .geometry import GeometryError, PolygonFormatError, hausdorff_distance, point
-from .mapdsl import DslParseError, format_caret, parse_map
-from .svg import rotation_set_svg, scatter_svg, series_svg
-from .verify import (
-    run_compare_width_suite,
-    run_flow_suite,
-    run_power_scaling_suite,
-    run_vnhn_suite,
-    random_polygon,
-)
+from .geometry import PolygonFormatError, hausdorff_distance, point
 
 OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -72,9 +62,19 @@ def cmd_ew(args) -> int:
 
 
 def cmd_rotset(args) -> int:
+    from .dynamics import rotation_set_estimate
+    from .mapdsl import DslParseError, format_caret, parse_map
+    from .svg import rotation_set_svg
+
     if args.expect_box is not None and args.expect_box < 1:
         raise ValueError(f"--expect-box must be >= 1, got {args.expect_box}")
-    est = rotation_set_estimate(parse_map(args.expr), args.grid, args.iters,
+    try:
+        expr = parse_map(args.expr)
+    except DslParseError as exc:
+        print("map DSL parse error:", file=sys.stderr)
+        print(format_caret(args.expr, exc), file=sys.stderr)
+        return INPUT_ERROR
+    est = rotation_set_estimate(expr, args.grid, args.iters,
                                 sampler=args.sampler, seed=args.seed)
     print(_header("rotset", args.seed,
                   f'expr="{args.expr}" grid={args.grid} iters={args.iters}'
@@ -105,6 +105,8 @@ def cmd_rotset(args) -> int:
 
 
 def cmd_roots(args) -> int:
+    from .finegraph import certify_no_roots
+
     cert = certify_no_roots(args.ew, args.length_upper)
     print(_header("roots", "-", f"ew={cert.ew} length_upper={cert.length_upper}"))
     if args.out:
@@ -114,18 +116,28 @@ def cmd_roots(args) -> int:
 
 
 def cmd_verify(args) -> int:
+    from . import verify
+
+    if args.out is not None and args.suite != "flow":
+        raise ValueError(f"--out applies only to --suite flow, not {args.suite}")
+    if args.svg is not None and args.suite != "vnhn":
+        raise ValueError(f"--svg applies only to --suite vnhn, not {args.suite}")
     if args.suite == "compare-width":
-        result = run_compare_width_suite(args.count, args.seed)
+        result = verify.run_compare_width_suite(args.count, args.seed)
     elif args.suite == "vnhn":
-        result = run_vnhn_suite(args.n)
+        result = verify.run_vnhn_suite(args.n)
     elif args.suite == "power-scaling":
-        result = run_power_scaling_suite(args.k, args.grid, args.iters, seed=args.seed)
+        result = verify.run_power_scaling_suite(args.k, args.grid, args.iters, seed=args.seed)
     else:
-        result = run_flow_suite(
+        from .flows import config_value
+
+        result = verify.run_flow_suite(
             config_value("floors", args.floors, "--floors"),
             config_value("field", f"const:{args.field_value}", "--field-value"))
     print(_header("verify", args.seed, f"suite={args.suite}"))
-    if args.suite == "vnhn" and args.svg:
+    if args.svg:
+        from .svg import scatter_svg
+
         # sampled (essential width, length upper bound) pairs for the
         # shear family: width of [0,n]^2 against the chain bound 2.
         # A reproduction aid; no boundary of the attainable region is
@@ -137,7 +149,7 @@ def cmd_verify(args) -> int:
             pairs.append((float(geo.essential_width(box)), 2.0))
         meta = None if args.no_meta else f"rotwidth {__version__} vnhn scatter"
         _write(args.svg, scatter_svg(pairs, meta=meta))
-    if args.suite == "flow" and args.out:
+    if args.out:
         _write(args.out, result.series.to_csv(include_runtime=not args.no_meta))
     for line in result.format_lines():
         print(line)
@@ -145,6 +157,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_flow(args) -> int:
+    from .flows import (FlowError, config_value, constant_field, parse_experiment_config,
+                        stopping_limit_experiment)
+    from .svg import series_svg
+
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
             kwargs = parse_experiment_config(fh.read())
@@ -178,6 +194,8 @@ def cmd_search(args) -> int:
     """Random search for wide polygons whose interior misses three
     non-aligned lattice points.  Reports the best sample found; this is a
     search aid only and asserts nothing about maximality."""
+    from .verify import random_polygon
+
     if args.count < 1:
         raise ValueError(f"--count must be >= 1, got {args.count}")
     rng = random.Random(args.seed)
@@ -275,15 +293,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except DslParseError as exc:
-        src = getattr(args, "expr", "")
-        print("map DSL parse error:", file=sys.stderr)
-        print(format_caret(src, exc), file=sys.stderr)
-        return INPUT_ERROR
     except PolygonFormatError as exc:
         print(f"polygon parse error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except (GeometryError, FlowError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return INPUT_ERROR
 

@@ -409,12 +409,20 @@ class RotationSetEstimate:
     step_bound: float
 
 
+def _check_seed(seed: int) -> None:
+    # scipy.stats.qmc rejects a negative seed with a message that does not
+    # name it; refuse it here, before SciPy is loaded.
+    if seed < 0:
+        raise DynamicsError(f"seed must be >= 0 for the Halton sampler, got {seed}")
+
+
 def _grid_points(grid: int, sampler: str, seed: int) -> np.ndarray:
     if sampler == "uniform":
         side = np.arange(grid) / grid
         xx, yy = np.meshgrid(side, side, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
     if sampler == "halton":
+        _check_seed(seed)
         from scipy.stats import qmc
 
         eng = qmc.Halton(d=2, scramble=True, seed=seed)
@@ -497,6 +505,7 @@ def verify_displacement_box(n: int, *, profile: Profile | None = None,
     """
     if samples < 1:
         raise DynamicsError("need at least one sample")
+    _check_seed(seed)
     from scipy.stats import qmc
 
     if expr is None:

@@ -1,7 +1,8 @@
 """Verification suites shared by the command line and the acceptance tests.
 
 Each suite runs a batch of checks and returns a SuiteResult with one line
-per check; suites are deterministic given their seed.
+per check; suites are deterministic given their seed.  Each suite imports
+the layers it runs, so importing this module loads only rotwidth.geometry.
 """
 
 from __future__ import annotations
@@ -11,9 +12,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from . import geometry as geo
-from .dynamics import default_profile, power_scaling_check, tent_profile, vnhn
-from .finegraph import ChainVerificationError, chain_bound_vnhn
-from .flows import stopping_limit_experiment
 from .geometry import ConvexPolygonQ, UnimodularMatrix, apply_unimodular, point
 
 
@@ -124,6 +122,9 @@ def run_compare_width_suite(count: int = 10**4, seed: int = 7) -> SuiteResult:
 def run_vnhn_suite(max_n: int = 64) -> SuiteResult:
     """Adjacency-chain bound |V^n H^n| <= 2 for every n up to max_n, for
     both profile kinds, plus the (VH)^n substitution failure path."""
+    from .dynamics import default_profile, tent_profile
+    from .finegraph import ChainVerificationError, chain_bound_vnhn
+
     if max_n < 1:
         raise ValueError(f"max_n must be >= 1, got {max_n}")
     result = SuiteResult(f"vnhn[max_n={max_n}]")
@@ -154,6 +155,8 @@ def run_power_scaling_suite(k: int = 3, grid: int = 48, iterates: int = 300, *,
                             seed: int = 0) -> SuiteResult:
     """Hausdorff comparison of the rotation set of (V H)^k against k times
     the rotation set of V H, at matched iterate budgets."""
+    from .dynamics import power_scaling_check, vnhn
+
     rep = power_scaling_check(vnhn(1), k, grid, iterates, seed=seed)
     tol = 0.1 * k
     result = SuiteResult(f"power-scaling[k={k},grid={grid},iters={iterates}]")
@@ -165,6 +168,8 @@ def run_power_scaling_suite(k: int = 3, grid: int = 48, iterates: int = 300, *,
 def run_flow_suite(floors, field) -> SuiteResult:
     """Stopping-limit experiment: the slowdown time-one maps must approach
     the stopping time-one map as the floors shrink."""
+    from .flows import stopping_limit_experiment
+
     series = stopping_limit_experiment(field, floors)
     result = SuiteResult(f"flow[floors={','.join(str(f) for f in floors)}]")
     dists = ", ".join(f"{d:.4g}" for d in series.distances())

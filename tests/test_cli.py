@@ -1,4 +1,11 @@
-"""Command-line contract: outputs, exit codes, determinism."""
+"""Command-line contract: outputs, exit codes, determinism, and the
+modules each command loads."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -253,14 +260,21 @@ class TestDeterminism:
      "--expect-box must be >= 1, got 0"),
     (["rotset", "V H", "--grid", "4", "--iters", "5", "--expect-box", "-1"],
      "--expect-box must be >= 1, got -1"),
+    (["rotset", "V", "--grid", "4", "--iters", "5", "--sampler", "halton", "--seed", "-1"],
+     "seed must be >= 0 for the Halton sampler, got -1"),
+    (["verify", "--suite", "vnhn", "--n", "2", "--out", "{tmp}/x.csv"],
+     "--out applies only to --suite flow, not vnhn"),
+    (["verify", "--suite", "compare-width", "--count", "2", "--svg", "{tmp}/a.svg"],
+     "--svg applies only to --suite vnhn, not compare-width"),
 ])
 def test_range_error_prints_nothing_on_stdout(tmp_path, capsys, argv, message):
     poly = tmp_path / "tri.txt"
     poly.write_text(TRIANGLE)
-    code, out, err = run_cli(capsys, *(a.format(triangle=poly) for a in argv))
+    code, out, err = run_cli(capsys, *(a.format(triangle=poly, tmp=tmp_path) for a in argv))
     assert code == 2
     assert out == ""
     assert message in err
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["tri.txt"]
 
 
 class TestFlagContract:
@@ -277,3 +291,42 @@ class TestFlagContract:
                                "--svg", str(svg), "--no-meta")
         assert code == 0
         assert svg.read_text().count("<circle") == 3
+
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# Runs one command in a fresh interpreter, then prints which of NumPy,
+# SciPy and scipy.integrate the process has loaded.
+FOOTPRINT = """
+import json, sys
+from rotwidth import cli
+if sys.argv[1:]:
+    cli.main(sys.argv[1:])
+print(json.dumps(sorted({"numpy", "scipy", "scipy.integrate"} & set(sys.modules))))
+"""
+NO_ARRAYS, NUMPY, SCIPY = [], ["numpy"], ["numpy", "scipy", "scipy.integrate"]
+
+
+@pytest.mark.parametrize("argv, loaded", [
+    ([], NO_ARRAYS),
+    (["ew", "{triangle}"], NO_ARRAYS),
+    (["search", "--count", "20"], NO_ARRAYS),
+    (["verify", "--suite", "compare-width", "--count", "2"], NO_ARRAYS),
+    (["roots", "--ew", "2221", "--length-upper", "2"], NUMPY),
+    (["rotset", "V H", "--grid", "4", "--iters", "5"], NUMPY),
+    (["rotset", "V", "--grid", "4", "--iters", "5", "--sampler", "halton", "--seed", "-1"],
+     NUMPY),
+    (["verify", "--suite", "vnhn", "--n", "1"], NUMPY),
+    (["verify", "--suite", "power-scaling", "--k", "1", "--grid", "4", "--iters", "5"], NUMPY),
+    (["flow", "--floors", "0.5", "--no-meta"], SCIPY),
+    (["verify", "--suite", "flow", "--floors", "0.5"], SCIPY),
+])
+def test_command_loads_only_the_layers_it_runs(tmp_path, argv, loaded):
+    poly = tmp_path / "tri.txt"
+    poly.write_text(TRIANGLE)
+    proc = subprocess.run([sys.executable, "-c", FOOTPRINT,
+                           *(a.format(triangle=poly) for a in argv)],
+                          cwd=tmp_path, env=dict(os.environ, PYTHONPATH=str(SRC)),
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout.splitlines()[-1]) == loaded

@@ -194,6 +194,10 @@ class TestRotationSetEstimate:
         e2 = rotation_set_estimate(vnhn(1), 16, 60, sampler="halton", seed=3)
         assert e1.inner_hull == e2.inner_hull
 
+    def test_negative_halton_seed_names_the_seed(self):
+        with pytest.raises(DynamicsError, match="seed must be >= 0 .*, got -1"):
+            rotation_set_estimate(vnhn(1), 4, 5, sampler="halton", seed=-1)
+
     def test_containment_inner_in_outer(self):
         for expr in (vnhn(1), vh_power(2), Translate(0.1, 0.9)):
             est = rotation_set_estimate(expr, 12, 80)
@@ -253,6 +257,10 @@ class TestDisplacementBox:
         check = verify_displacement_box(1, samples=10**4, expr=expr)
         assert not check.passed
         assert abs(check.worst_excess - eps) < 1e-6
+
+    def test_negative_seed_names_the_seed(self):
+        with pytest.raises(DynamicsError, match="seed must be >= 0 .*, got -2"):
+            verify_displacement_box(1, samples=4, seed=-2)
 
 
 class TestPowerScaling:
