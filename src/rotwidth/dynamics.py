@@ -19,23 +19,36 @@ per-step displacements; orbit positions are wrapped to [0,1)^2 each step
 distinguished fixed points of V^n H^n and their displacement vectors exact.
 
 One interpreter, `_run`, applies a lift in place to a C-contiguous (2, N)
-column buffer; `eval_lift_array` and the orbit loop `_orbit_sums` share
+column buffer; `eval_lift_array` and the orbit loop `_orbit_block` share
 it.  The orbit loop allocates its buffers once per call (only `np.interp`
 of a piecewise-linear profile returns a fresh array) and runs each iterate
 with `out=`, in the operation order of a plain allocating loop, so its
 results are bit-identical to one.  `_steps` is walked afresh on every
 iterate rather than compiled into a flat program: it costs about 1 us per
 step against about 1 ms of array work per step at 256^2 points, and it
-never unrolls a large Power into memory.  The grid is not chunked: chunks
-of 1k to 64k points timed the same.  Wrapping is `x - floor(x)`, which
-`_wrap` shows is bit-identical to `np.mod(x, 1.0)`.  A rotation-set hull
-is a float prefilter (`_float_hull`) and then the exact hull of its few
-survivors; both run the one chain, `geometry.monotone_hull`.
+never unrolls a large Power into memory.  The grid runs as one block, or
+as two contiguous blocks in two threads (the caller's and one worker)
+when the process may use two CPUs and each block gets at least 8,192
+points, i.e. from a 128^2 grid up.  NumPy releases the GIL inside its
+ufuncs, so on a 2-core VM (best of 3, 270 iterates of V^2 H^2) two
+blocks took 0.45x the time of one at 256^2 points and 0.61x at 128^2,
+but 0.81x at 96^2, 1.3x at 64^2 and 2.8x at 32^2, where thread handoffs
+outweigh the array work; the 8,192-point floor keeps a margin above that
+break-even.  The split is exact: each base point's orbit touches only its
+own columns, and the one reduction across points, the step bound, is a
+max, which does not depend on order.  Otherwise the grid is not chunked:
+chunks of 1k to 64k points timed the same in one thread.  Wrapping is
+`x - floor(x)`, which `_wrap` shows is bit-identical to `np.mod(x, 1.0)`.
+A rotation-set hull is a float prefilter (`_float_hull`) and then the
+exact hull of its few survivors; both run the one chain,
+`geometry.monotone_hull`.
 """
 
 from __future__ import annotations
 
 import math
+import os
+import threading
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
@@ -310,6 +323,24 @@ class RotationVectorEstimate:
     n: int
 
 
+_MIN_BLOCK = 8192  # fewest points per block; see the module docstring
+
+
+def _block_count(n_points: int) -> int:
+    """Contiguous blocks `_orbit_sums` splits `n_points` base points into.
+
+    Two when the process may use at least two CPUs and each block gets at
+    least _MIN_BLOCK points, else one.
+    """
+    if n_points < 2 * _MIN_BLOCK:
+        return 1
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call (macOS, Windows)
+        cpus = os.cpu_count() or 1
+    return 2 if cpus >= 2 else 1
+
+
 def _orbit_sums(expr: MapExpr, pts: np.ndarray, n: int, *, tail: bool):
     """Iterate the lift n times from `pts`, accumulating per-step
     displacements with Kahan compensation.
@@ -322,8 +353,45 @@ def _orbit_sums(expr: MapExpr, pts: np.ndarray, n: int, *, tail: bool):
     Base points are wrapped to their torus representatives up front (exact
     in binary floating point), so results do not depend on the lift
     representative supplied by the caller.
+
+    With two blocks (`_block_count`) the first half of the points runs in
+    the calling thread and the second in one worker thread.  An exception
+    in either block stops the other at its next iterate and is raised here;
+    the caller never waits for a worker it has stopped.
     """
-    nxt = np.asarray(pts, dtype=float).T.copy()
+    pts = np.asarray(pts, dtype=float)
+    if _block_count(len(pts)) == 1:
+        return _orbit_block(expr, pts, n, tail, None)
+    half = len(pts) // 2
+    stop = threading.Event()
+    second = []
+
+    def work():
+        try:
+            second.append(_orbit_block(expr, pts[half:], n, tail, stop))
+        except BaseException as exc:  # raised again in the caller
+            stop.set()
+            second.append(exc)
+
+    worker = threading.Thread(target=work, name="rotwidth-orbit", daemon=True)
+    worker.start()
+    try:
+        first = _orbit_block(expr, pts[:half], n, tail, stop)
+        worker.join()
+    except BaseException:
+        stop.set()
+        raise
+    if isinstance(second[0], BaseException):
+        raise second[0]
+    (sums1, spread1, max1), (sums2, spread2, max2) = first, second[0]
+    spread = None if spread1 is None else np.concatenate([spread1, spread2])
+    return np.concatenate([sums1, sums2]), spread, max(max1, max2)
+
+
+def _orbit_block(expr: MapExpr, pts: np.ndarray, n: int, tail: bool, stop):
+    """`_orbit_sums` on one block of points; returns None early once the
+    `stop` event (None for a lone block) is set."""
+    nxt = pts.T.copy()
     pos = np.empty_like(nxt)
     _wrap(nxt, pos)
     sums = np.zeros_like(pos)
@@ -335,6 +403,8 @@ def _orbit_sums(expr: MapExpr, pts: np.ndarray, n: int, *, tail: bool):
     tail_start = n - max(1, n // 10)
     max_step = 0.0
     for k in range(1, n + 1):
+        if stop is not None and stop.is_set():
+            return None
         np.copyto(nxt, pos)
         _run(expr, nxt, scratch)
         np.subtract(nxt, pos, out=step)

@@ -1,12 +1,18 @@
 """Shear-lift evaluation, displacements, and rotation-set estimation."""
 
+import dataclasses
 import math
+import os
+import struct
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from rotwidth import dynamics
 from rotwidth.dynamics import (
     Compose,
     DynamicsError,
@@ -450,15 +456,24 @@ KERNEL_EXPRS = {
 }
 
 
+def _set_cpus(monkeypatch, cpus):
+    """Make `_block_count` see `cpus` usable CPUs on any platform."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+
+
 class TestOrbitKernelReference:
     """The in-place kernel against the allocating loop, bit for bit."""
 
     @pytest.mark.parametrize("name", sorted(KERNEL_EXPRS))
     @pytest.mark.parametrize("tail", [True, False])
-    def test_orbit_sums_match_reference(self, name, tail):
+    def test_orbit_sums_match_reference(self, name, tail, monkeypatch):
+        _set_cpus(monkeypatch, 2)
         expr = KERNEL_EXPRS[name]
+        # 129^2 runs as two blocks of unequal size, 8,320 and 8,321 points
+        two_blocks = _grid_points(129, "uniform", 0)
+        assert dynamics._block_count(len(two_blocks)) == 2
         grids = (_grid_points(64, "uniform", 0), _grid_points(16, "halton", 3),
-                 np.array([[0.3, 0.7]]), np.array([[-1.25, 2.5]]))
+                 np.array([[0.3, 0.7]]), np.array([[-1.25, 2.5]]), two_blocks)
         for pts in grids:
             sums, spread, max_step = _orbit_sums(expr, pts, 25, tail=tail)
             ref_sums, ref_spread, ref_max = _ref_orbit_sums(expr, pts, 25, tail)
@@ -509,3 +524,148 @@ class TestOrbitKernelReference:
         for pts in cases:
             # repr tells -0.0 from 0.0
             assert repr(_float_hull(pts)) == repr(ref_hull(pts))
+
+
+class _NoThread:
+    def __init__(self, *args, **kwargs):
+        raise AssertionError("a thread was started")
+
+
+class _GatedProfile:
+    """sin^2, with a hook run on every fill by the caller's thread and by
+    the worker, to raise or to hold a block at a known point."""
+
+    def __init__(self, in_caller, in_worker):
+        self.caller = threading.get_ident()
+        self.in_caller, self.in_worker = in_caller, in_worker
+
+    def fill(self, xs, out):
+        if threading.get_ident() == self.caller:
+            self.in_caller()
+        else:
+            self.in_worker()
+        default_profile().fill(xs, out)
+
+
+def _same_estimate(a, b):
+    """Every field equal: hull vertices exactly, floats by their bytes."""
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if isinstance(x, float):
+            assert struct.pack("<d", x) == struct.pack("<d", y), field.name
+        elif isinstance(x, ConvexPolygonQ):
+            assert x.vertices == y.vertices, field.name
+        else:
+            assert x == y, field.name
+
+
+class TestOrbitBlocks:
+    """Two blocks in two threads give the bytes of one block."""
+
+    def test_block_count_rule(self, monkeypatch):
+        _set_cpus(monkeypatch, 4)
+        assert dynamics._block_count(128 * 128 - 1) == 1
+        assert dynamics._block_count(128 * 128) == 2
+        _set_cpus(monkeypatch, 1)
+        assert dynamics._block_count(256 * 256) == 1
+
+    def test_cpu_count_fallback_without_affinity(self, monkeypatch):
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        for cpus, blocks in ((None, 1), (1, 1), (2, 2), (8, 2)):
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+            assert dynamics._block_count(256 * 256) == blocks
+
+    @pytest.mark.parametrize("case", ["sinsq", "pl_word", "halton"])
+    def test_one_and_two_blocks_give_the_same_estimate(self, case, monkeypatch):
+        expr = {"sinsq": vnhn(2), "halton": vnhn(1),
+                "pl_word": Compose((Translate(1 / 3, -1 / 5),
+                                    Power(Compose((VShear(_PL, 2), HShear(_PL, 1))), 2)))}[case]
+        sampler = "halton" if case == "halton" else "uniform"
+        estimates = []
+        for blocks in (1, 2):
+            monkeypatch.setattr(dynamics, "_block_count", lambda n, blocks=blocks: blocks)
+            estimates.append(rotation_set_estimate(expr, 45, 60, sampler=sampler, seed=5))
+        _same_estimate(*estimates)
+
+    @pytest.mark.parametrize("grid", [16, 32, 64])
+    def test_small_grids_start_no_thread(self, grid, monkeypatch):
+        _set_cpus(monkeypatch, 2)
+        monkeypatch.setattr(threading, "Thread", _NoThread)
+        rotation_set_estimate(vnhn(1), grid, 20)
+        with pytest.raises(AssertionError, match="a thread was started"):
+            rotation_set_estimate(vnhn(1), 128, 2)  # the patch does bite
+
+    def test_one_cpu_runs_one_block(self, monkeypatch):
+        _set_cpus(monkeypatch, 1)
+        monkeypatch.setattr(threading, "Thread", _NoThread)
+        est = rotation_set_estimate(vnhn(1), 128, 2)
+        assert est.grid == 128
+
+    def test_concurrent_callers_get_their_own_results(self, monkeypatch):
+        # more caller threads (each with its worker) than cores, switching often
+        pts = _grid_points(33, "uniform", 0)
+        want = {}
+        for n in range(1, 7):
+            monkeypatch.setattr(dynamics, "_block_count", lambda m: 1)
+            sums, spread, step = _orbit_sums(vnhn(n), pts, 30, tail=True)
+            want[n] = (sums.tobytes(), spread.tobytes(), step)
+        monkeypatch.setattr(dynamics, "_block_count", lambda m: 2)
+        got = {}
+
+        def call(n):
+            sums, spread, step = _orbit_sums(vnhn(n), pts, 30, tail=True)
+            got[n] = (sums.tobytes(), spread.tobytes(), step)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            callers = [threading.Thread(target=call, args=(n,)) for n in want]
+            for c in callers:
+                c.start()
+            for c in callers:
+                c.join(60)
+                assert not c.is_alive()
+        finally:
+            sys.setswitchinterval(interval)
+        assert got == want
+
+    def test_worker_exception_is_raised_in_caller(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_block_count", lambda n: 2)
+        hooked = []
+        monkeypatch.setattr(threading, "excepthook", hooked.append)
+
+        def fail():
+            raise ZeroDivisionError("worker block")
+
+        expr = VShear(_GatedProfile(lambda: None, fail))
+        with pytest.raises(ZeroDivisionError, match="worker block"):
+            _orbit_sums(expr, _grid_points(4, "uniform", 0), 50, tail=True)
+        assert hooked == []
+
+    def test_caller_exception_does_not_wait_for_worker(self, monkeypatch):
+        monkeypatch.setattr(dynamics, "_block_count", lambda n: 2)
+        inside, gate, left = threading.Event(), threading.Event(), threading.Event()
+        worker_fills = []
+
+        def interrupt():
+            assert inside.wait(60)
+            raise KeyboardInterrupt
+
+        def hold():
+            worker_fills.append(1)
+            if len(worker_fills) == 1:
+                inside.set()
+                gate.wait(20)  # times out only if the caller waits for the worker
+                left.set()
+
+        expr = VShear(_GatedProfile(interrupt, hold))
+        with pytest.raises(KeyboardInterrupt):
+            _orbit_sums(expr, _grid_points(4, "uniform", 0), 1000, tail=False)
+        # raised while the worker was still held inside its first iterate
+        assert not left.is_set()
+        gate.set()
+        for worker in threading.enumerate():
+            if worker.name == "rotwidth-orbit":
+                worker.join(60)
+                assert not worker.is_alive()
+        assert len(worker_fills) == 1  # stopped at its next iterate
