@@ -10,7 +10,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 from scipy.integrate import quad
 
 import rotwidth
@@ -23,7 +23,6 @@ from rotwidth.flows import (
     FieldVanishesError,
     FlowError,
     NonContractingMapError,
-    SectionRecrossError,
     SectionReport,
     SlowdownProfile,
     annulus_model,
@@ -71,10 +70,17 @@ class TestFlow:
         X = Field1D(lambda y: 1.0 / (1.0 + y * y))
         assert flow_richardson_error(X, 0.0, 1.0, step=1e-2) < 1e-9
 
+    @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
+    def test_non_finite_time_rejected(self, t):
+        with pytest.raises(FlowError, match="time t"):
+            flow(constant_field(1.0), 0.0, t)
 
-# The RK4 loops as they stood before `_trajectory` joined them, kept as an
-# independent reference: the flow loop and the Conley crossing loop, each
-# with its own step rule, on the classical RK4 step.
+
+# Independent references on the classical RK4 step, each with its own step
+# rule: the flow loop, and an RK4 scan that counts how often sampled orbits
+# cross a Conley section, forward and backward.  The section check itself
+# runs no flow (the monotone-height lemma); the scan is what it is tested
+# against.
 
 def _ref_rk4_step(rhs, y, h):
     k1 = rhs(y)
@@ -108,7 +114,8 @@ def _ref_flow(field, x, t, *, step=1e-3):
 
 
 def _ref_crossings(field, level, *, horizon, samples, step):
-    """The Conley scan as two passes, at +horizon and at -horizon."""
+    """Crossings of {y = level} by orbits of `samples` points on it, in two
+    RK4 passes, at +horizon and at -horizon."""
     xs = np.linspace(0.0, 1.0, samples, endpoint=False)
     pts = np.column_stack([xs, np.full_like(xs, level)])
     rhs = _ref_velocity(field)
@@ -166,14 +173,6 @@ def _dipping(state):
     return np.stack([np.ones_like(x), 0.05 + 0.95 * np.cos(24 * np.pi * x)], axis=-1)
 
 
-def _dipping_below(state):
-    """As `_dipping` below y = 0 and 0.05 above: only backward orbits from
-    y = 0 cross it again."""
-    st_ = np.asarray(state, dtype=float)
-    x, y = st_[..., 0], st_[..., 1]
-    return np.stack([np.ones_like(x), 0.05 + 0.95 * np.cos(24 * np.pi * x) * (y < 0)], axis=-1)
-
-
 _ANNULUS = AnnulusField(tau=make_annulus_tau(1.0), v=make_annulus_v(0.05))
 _ANNULUS_R2 = AnnulusField(tau=make_annulus_tau(2.0), v=make_annulus_v(0.05))
 _ANNULUS_Y03 = AnnulusField(tau=make_annulus_tau(1.0, y0=0.3), v=make_annulus_v(0.05, y0=0.3))
@@ -182,8 +181,9 @@ _GRID_Y0 = float(np.linspace(-0.999, 0.999, 4001)[1500])
 
 
 class TestTrajectoryReference:
-    """`flow`, `ConleySection.validate` and the experiments built on `flow`
-    give the same bytes as the reference loops."""
+    """`flow` and the experiments built on it give the same bytes as the
+    reference loop; `ConleySection.validate` gives the report of the RK4
+    crossing scan."""
 
     @pytest.mark.parametrize("t", [0.0, 0.3705, -0.2513, 1.0049])
     @pytest.mark.parametrize("field, x", [
@@ -201,20 +201,36 @@ class TestTrajectoryReference:
         assert type(got) is type(want)
         assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
 
+    # explicit ids keep each case's name stable when cases come or go
     @pytest.mark.parametrize("field, level", [
-        (_ANNULUS, -0.6), (_ANNULUS, -0.3), (_ANNULUS, 0.35), (_ANNULUS, 0.7),
-        (_wobble, 0.0), (_wobble, 0.4), (_dipping, 0.0), (_dipping_below, 0.0),
-        (_ANNULUS_R2, 0.5), (_ANNULUS_Y03, -0.2), (_ANNULUS_Y03, 0.6),
+        pytest.param(_ANNULUS, -0.6, id="field0--0.6"),
+        pytest.param(_ANNULUS, -0.3, id="field1--0.3"),
+        pytest.param(_ANNULUS, 0.35, id="field2-0.35"),
+        pytest.param(_ANNULUS, 0.7, id="field3-0.7"),
+        pytest.param(_ANNULUS_R2, 0.5, id="field8-0.5"),
+        pytest.param(_ANNULUS_Y03, -0.2, id="field9--0.2"),
+        pytest.param(_ANNULUS_Y03, 0.6, id="field10-0.6"),
     ])
     def test_validate_matches_reference(self, field, level):
         want = _ref_crossings(field, level, horizon=4.0, samples=12, step=1e-2)
-        section = ConleySection(level=level)
-        if want.max_crossings > 0:
-            with pytest.raises(SectionRecrossError):
-                section.validate(field, horizon=4.0, samples=12, step=1e-2)
-            return
-        rep = section.validate(field, horizon=4.0, samples=12, step=1e-2)
+        assert want.max_crossings == 0
+        rep = ConleySection(level=level).validate(field, horizon=4.0)
         assert repr(rep) == repr(want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.01, 2.0), st.floats(-0.5, 0.5), st.floats(-0.99, 0.99))
+    @example(0.05, 0.3, 0.3)  # v vanishes on the section
+    @example(0.05, 0.0, 0.99)  # at the edge of the bump
+    def test_validate_agrees_with_reference_scan(self, amplitude, y0, level):
+        # the section is accepted with the scan's report, or both refuse it
+        fld = AnnulusField(tau=make_annulus_tau(1.0, y0=y0), v=make_annulus_v(amplitude, y0=y0))
+        want = _ref_crossings(fld, level, horizon=4.0, samples=12, step=1e-2)
+        if not want.transversal_speed >= 1e-6 or want.max_crossings > 0:
+            with pytest.raises(FlowError):
+                ConleySection(level=level).validate(fld, horizon=4.0)
+        else:
+            rep = ConleySection(level=level).validate(fld, horizon=4.0)
+            assert repr(rep) == repr(want)
 
     def test_reference_sees_a_recrossing(self):
         rep = _ref_crossings(_dipping, 0.0, horizon=4.0, samples=12, step=1e-2)
@@ -558,18 +574,38 @@ class TestConleySection:
         assert report.max_crossings == 0
         assert report.future_side == "below"  # v < 0 above the orbit
 
-    def test_recrossing_aborts(self):
-        # transverse at the sampled points, but the vertical speed dips
-        # negative between them, so orbits wobble back through the section
-        def velocity(state):
-            st = np.asarray(state, dtype=float)
-            x = st[..., 0]
-            vy = 0.05 + 0.95 * np.cos(24 * np.pi * x)
-            return np.stack([np.ones_like(x), vy], axis=-1)
+    def test_planar_callable_refused(self):
+        # the lemma needs a height that moves on its own; an x-dependent
+        # velocity, recrossing (`_dipping`) or not (`_wobble`), is refused
+        for velocity in (_dipping, _wobble):
+            with pytest.raises(FlowError, match="AnnulusField"):
+                ConleySection(level=0.0).validate(velocity)
 
-        with pytest.raises(SectionRecrossError):
-            ConleySection(level=0.0).validate(velocity, horizon=3.0,
-                                              samples=12, step=1e-3)
+    @pytest.mark.parametrize("level", [1.5, -1.5, 1.0, -1.0, math.nan, math.inf, -math.inf])
+    def test_level_outside_annulus_rejected(self, level):
+        def v(y):
+            raise AssertionError("v called on a level outside the annulus")
+
+        fld = AnnulusField(tau=make_annulus_tau(1.0), v=v)
+        with pytest.raises(FlowError, match="annulus"):
+            ConleySection(level=level).validate(fld)
+
+    def test_level_outside_annulus_rejected_where_v_is_transverse(self):
+        fld = AnnulusField(tau=make_annulus_tau(1.0), v=lambda y: -y)
+        assert ConleySection(level=0.5).validate(fld).future_side == "below"
+        with pytest.raises(FlowError, match="annulus"):
+            ConleySection(level=1.5).validate(fld)
+
+    @pytest.mark.parametrize("horizon", [math.nan, -5.0, 0.0, math.inf])
+    def test_bad_horizon_rejected(self, horizon):
+        fld = AnnulusField(tau=make_annulus_tau(1.0), v=make_annulus_v(0.05))
+        with pytest.raises(FlowError, match="horizon"):
+            ConleySection(level=0.5).validate(fld, horizon=horizon)
+
+    def test_nan_speed_rejected(self):
+        fld = AnnulusField(tau=make_annulus_tau(1.0), v=lambda y: math.nan)
+        with pytest.raises(FlowError, match="transverse"):
+            ConleySection(level=0.5).validate(fld)
 
     def test_non_transverse_rejected(self):
         fld = AnnulusField(tau=make_annulus_tau(1.0), v=make_annulus_v(0.05))
