@@ -39,9 +39,9 @@ own columns, and the one reduction across points, the step bound, is a
 max, which does not depend on order.  Otherwise the grid is not chunked:
 chunks of 1k to 64k points timed the same in one thread.  Wrapping is
 `x - floor(x)`, which `_wrap` shows is bit-identical to `np.mod(x, 1.0)`.
-A rotation-set hull is a float prefilter (`_float_hull`) and then the
-exact hull of its few survivors; both run the one chain,
-`geometry.monotone_hull`.
+A rotation-set hull is the exact hull of the rows that a prefilter,
+`_hull_survivors`, cannot prove strictly inside it: a handful of the
+65,536 at 256^2.  No float hull is taken.
 """
 
 from __future__ import annotations
@@ -55,8 +55,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import (ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, monotone_hull,
-                       to_rational)
+from .geometry import ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, to_rational
 
 
 class DynamicsError(ValueError):
@@ -500,14 +499,25 @@ def _grid_points(grid: int, sampler: str, seed: int) -> np.ndarray:
     raise DynamicsError(f"unknown sampler {sampler!r}")
 
 
-def _float_hull(pts: np.ndarray) -> list[tuple[float, float]]:
-    # Stable sort by (x, y), then drop repeats: the first row of each run
-    # survives, as in sorted(set(...)), also when -0.0 meets 0.0.  The
-    # chain is the one the exact hull runs, here on floats.
-    srt = pts[np.lexsort((pts[:, 1], pts[:, 0]))]
-    keep = np.ones(len(srt), dtype=bool)
-    keep[1:] = (srt[1:] != srt[:-1]).any(axis=1)
-    return monotone_hull(list(map(tuple, srt[keep].tolist())))
+_ORIENT_BOUND, _TINY = 8 * np.finfo(float).eps, np.finfo(float).tiny
+
+
+def _hull_survivors(pts: np.ndarray) -> np.ndarray:
+    """The rows of `pts` (N, 2) not provably strictly inside their exact
+    hull (Akl & Toussaint): rows inside the exact hull of the extreme rows
+    in +-x, +-y, +-(x+y), +-(x-y) by more than the orient2d error bound
+    (Shewchuk, plus the smallest normal for underflow) at every edge go.
+    A flat hull keeps every row, or its extremes on an axis-parallel line."""
+    x, y = pts[:, 0], pts[:, 1]
+    picks = pts[[f(v) for v in (x, y, x + y, x - y) for f in (np.argmin, np.argmax)]]
+    if x.min() == x.max() or y.min() == y.max():
+        return picks
+    inside = np.ones(len(pts), dtype=bool)
+    for a, b in ConvexPolygonQ(map(tuple, picks.tolist())).edges():
+        ax, ay, bx, by = float(a.x), float(a.y), float(b.x), float(b.y)
+        left, right = (bx - ax) * (y - ay), (by - ay) * (x - ax)
+        inside &= left - right > _ORIENT_BOUND * (np.abs(left) + np.abs(right)) + _TINY
+    return pts[~inside]
 
 
 def rotation_set_estimate(expr: MapExpr, grid: int, iterates: int, *,
@@ -539,8 +549,8 @@ def rotation_set_estimate(expr: MapExpr, grid: int, iterates: int, *,
         converged = est
         frac = 0.0
 
-    inner = ConvexPolygonQ(_float_hull(converged))
-    outer = ConvexPolygonQ(_float_hull(est))
+    inner = ConvexPolygonQ(map(tuple, _hull_survivors(converged).tolist()))
+    outer = ConvexPolygonQ(map(tuple, _hull_survivors(est).tolist()))
     radius = Fraction(max_step) / iterates if max_step > 0 else Fraction(0)
     outer = dilate_polygon_linf(outer, radius)
     return RotationSetEstimate(

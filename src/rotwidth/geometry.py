@@ -5,12 +5,12 @@ Vertices are stored as `fractions.Fraction` coordinates, and every
 predicate, width, and lattice-point query is exact.  `integer_frame` is
 the one place that clears denominators: a polygon frames its input once,
 scaling by D, the lcm of the denominators, to Python ints, and keeps D
-with its hull's scaled vertices.  The hull (`monotone_hull`, one Andrew
-chain that also serves the float prefilter in `dynamics`), the width-norm
-reduction and the lattice-point scan run on those ints; a single Fraction
-is built from each result.  `contains`, `ew_oracle` and the float
-`hausdorff_distance` (a diagnostic for the numerical estimators) stay on
-the Fraction vertices, so the checkers share no code with the kernels.
+with its hull's scaled vertices.  The hull (`monotone_hull`, the one
+Andrew chain), the width-norm reduction and the lattice-point scan run on
+those ints; a single Fraction is built from each result.  `contains`,
+`ew_oracle` and the float `hausdorff_distance` (a diagnostic for the
+numerical estimators) stay on the Fraction vertices, so the checkers
+share no code with the kernels.
 
 The essential width of a compact convex set is the smallest horizontal
 width it can be given by a unimodular change of basis of the integer
@@ -171,8 +171,8 @@ def integer_frame(points: Sequence[Point2Q]) -> tuple[int, list[tuple[int, int]]
 def monotone_hull(pts: Sequence[tuple]) -> list[tuple]:
     """Andrew's monotone chain over distinct (x, y) pairs sorted by (x, y):
     the extreme points counter-clockwise from the first pair (the two end
-    points of a collinear input).  Exact on ints; the float prefilter of
-    the rotation-set estimates runs it on floats."""
+    points of a collinear input).  It runs on the ints of
+    `integer_frame` only, so it is exact."""
     if len(pts) == 1:
         return list(pts)
 

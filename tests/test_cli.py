@@ -160,6 +160,14 @@ class TestVerify:
         assert "--field-value: bad field 'const:inf'" in err
         assert out == ""
 
+    def test_flow_field_that_moves_nothing_exits_2(self, capsys):
+        # every map is the identity: the all-zero series passed vacuously
+        code, out, err = run_cli(capsys, "verify", "--suite", "flow",
+                                 "--floors", "0.5,0.25", "--field-value", "0")
+        assert code == 2
+        assert "field 'const:0' moves no grid point" in err
+        assert out == ""
+
     def test_flow_increasing_floors_name_the_flag(self, capsys):
         code, out, err = run_cli(capsys, "verify", "--suite", "flow", "--floors", "0.5,0.9")
         assert code == 2
@@ -215,6 +223,13 @@ class TestFlowCommand:
         assert code == 2
         assert f"{flag}: bad {flag[2:]} {value!r}" in err
         assert "weakly decreasing" not in out
+
+    @pytest.mark.parametrize("spec", ["const:0", "const:1e-300"])
+    def test_field_that_moves_nothing_exits_2(self, capsys, spec):
+        code, out, err = run_cli(capsys, "flow", "--floors", "0.5,0.25", "--field", spec)
+        assert code == 2
+        assert f"field {spec!r} moves no grid point" in err
+        assert out == ""
 
     def test_bad_field_spec(self, capsys):
         code, _, err = run_cli(capsys, "flow", "--floors", "0.5", "--field", "lin:1")

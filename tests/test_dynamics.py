@@ -10,7 +10,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rotwidth import dynamics
 from rotwidth.dynamics import (
@@ -35,8 +35,8 @@ from rotwidth.dynamics import (
     verify_displacement_box,
     vh_power,
     vnhn,
-    _float_hull,
     _grid_points,
+    _hull_survivors,
     _orbit_sums,
     _steps,
 )
@@ -181,6 +181,41 @@ class TestRotationVector:
         assert est.tail_spread == 0.0
 
 
+def _exact_hull(pts):
+    return ConvexPolygonQ(map(tuple, np.asarray(pts).tolist()))
+
+
+_FAMILIES = ("collinear", "near-edge", "cluster", "signed-zeros", "duplicates")
+
+
+def _adversarial_cloud(family, seed, n=None):
+    """Clouds on which a float hull goes wrong: points collinear up to
+    1e-17 at scales 1 and 1e-3, a few points within a few ulps of the
+    chord of a long oblique hull edge (on either side of it), clusters of
+    spread 1e-15, +-0.0 among a few values, and a random cloud with every
+    row twice."""
+    rng = np.random.default_rng(seed)
+    n = n or int(rng.integers(1, 60))
+    if family == "near-edge":
+        slope = rng.uniform(0.2, 3.0)
+        a = np.array([-36.0, -36.0 * slope]) * (1 + rng.integers(-3, 4, 2) * 2.0**-50)
+        b = np.array([72.0, 72.0 * slope]) * (1 + rng.integers(-3, 4, 2) * 2.0**-50)
+        c = np.array([1.5, 1.5 * slope])
+        near = c + rng.integers(-6, 7, (min(n, 6), 2)) * np.spacing(c)
+        return np.vstack([a, b, near, [-30.0, 80.0]])
+    if family == "collinear":
+        scale = rng.choice([1.0, 1e-3])
+        t = rng.random((n, 1))
+        pts = scale * (rng.random(2) + t * (rng.random(2) - 0.5))
+        return pts + rng.uniform(-1e-17, 1e-17, (n, 2))
+    if family == "cluster":
+        return rng.random(2) + rng.uniform(-1e-15, 1e-15, (n, 2))
+    if family == "signed-zeros":
+        return rng.choice(np.array([-0.0, 0.0, 0.5, 1.0]), size=(n, 2))
+    cloud = rng.random((n, 2))
+    return np.vstack([cloud, cloud[rng.permutation(n)]])
+
+
 class TestRotationSetEstimate:
     def test_vnhn_recovers_box(self):
         est = rotation_set_estimate(vnhn(2), 64, 400)
@@ -222,15 +257,14 @@ class TestRotationSetEstimate:
             rotation_set_estimate(vnhn(1), 1, 10)
 
     def test_partitioned_hull_merge_matches_global_hull(self):
-        # the grid may be split across workers: hull(union) must equal the
-        # re-hull of the per-part hulls
+        # the grid may be split across workers: the survivors of the pooled
+        # survivors of each part give the hull of the whole cloud
         rng = np.random.default_rng(12)
-        pts = rng.random((400, 2))
-        whole = _float_hull(pts)
-        parts = np.array_split(pts, 3)
-        merged = _float_hull(np.array([p for part in parts
-                                       for p in _float_hull(part)]))
-        assert whole == merged
+        for pts in (rng.random((400, 2)), _adversarial_cloud("collinear", 3, 400),
+                    _adversarial_cloud("cluster", 4, 400)):
+            parts = np.array_split(pts, 3)
+            merged = _hull_survivors(np.vstack([_hull_survivors(p) for p in parts]))
+            assert _exact_hull(merged).vertices == _exact_hull(pts).vertices
 
     def test_spread_metadata_recorded(self):
         expr = vnhn(1)
@@ -495,35 +529,60 @@ class TestOrbitKernelReference:
         assert img.shape == pts.shape and img.flags.c_contiguous
         assert img.tobytes() == _ref_lift(KERNEL_EXPRS[name], pts).tobytes()
 
-    def test_float_hull_matches_sorted_set(self):
-        def ref_hull(pts):
-            uniq = sorted(set(map(tuple, pts.tolist())))
-            if len(uniq) == 1:
-                return uniq
-            def half(seq):
-                out = []
-                for p in seq:
-                    while len(out) > 1 and (
-                        (out[-1][0] - out[-2][0]) * (p[1] - out[-2][1])
-                        - (out[-1][1] - out[-2][1]) * (p[0] - out[-2][0])
-                    ) <= 0:
-                        out.pop()
-                    out.append(p)
-                return out
-            hull = half(uniq)[:-1] + half(list(reversed(uniq)))[:-1]
-            return hull if len(hull) >= 2 else uniq[:1]
+class TestHullSurvivors:
+    """`_hull_survivors` drops only rows strictly inside the exact hull."""
 
-        rng = np.random.default_rng(4)
-        zeros = np.array([-0.0, 0.0, 0.5, 1.0])
-        cases = [np.array([[-0.0, 0.0], [0.0, -0.0]]),
-                 np.array([[0.0, 0.0], [-0.0, -0.0], [1.0, 2.0]])]
-        for _ in range(200):
-            cases.append(rng.choice(zeros, size=(rng.integers(1, 12), 2)))
-            cloud = rng.random((rng.integers(1, 60), 2))
-            cases.append(np.vstack([cloud, cloud[rng.permutation(len(cloud))]]))
-        for pts in cases:
-            # repr tells -0.0 from 0.0
-            assert repr(_float_hull(pts)) == repr(ref_hull(pts))
+    @settings(max_examples=300, deadline=None)
+    @given(st.sampled_from(_FAMILIES), st.integers(0, 2**32 - 1))
+    def test_survivors_give_the_exact_hull(self, family, seed):
+        pts = _adversarial_cloud(family, seed)
+        hull = _exact_hull(pts)
+        kept = _hull_survivors(pts)
+        assert _exact_hull(kept).vertices == hull.vertices
+        # whatever was dropped lies strictly inside
+        dropped = set(map(tuple, pts.tolist())) - set(map(tuple, kept.tolist()))
+        assert all(hull.contains(point(*p), strict=True) for p in dropped)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
+                    min_size=1, max_size=40))
+    @example([(0.0, 0.0), (-0.0, -0.0)])
+    @example([(0.0, -0.0), (-0.0, 0.0), (1.0, 2.0), (1.0, 2.0)])
+    @example([(1e-300, 0.0), (0.0, 1e-300), (-1e-300, -1e-300), (1e-301, 1e-301)])
+    # the third row is a hull vertex a hair below the chord of the first
+    # two, where an orientation test without error bound calls it inside
+    @example([(-36.0000000000001, -12.000000000000032),
+              (72.00000000000013, 24.000000000000043),
+              (1.5000000000000009, 0.5000000000000007), (-30.0, 80.0)])
+    def test_survivors_give_the_exact_hull_of_any_floats(self, rows):
+        pts = np.array(rows, dtype=float)
+        assert _exact_hull(_hull_survivors(pts)).vertices == _exact_hull(pts).vertices
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_vertices_and_edge_points_kept(self, seed):
+        # a dyadic convex polygon, points exactly on its edges, and points
+        # inside: every vertex and every edge point survives
+        rng = np.random.default_rng(seed)
+        angles = np.sort(rng.random(int(rng.integers(3, 9)))) * 2 * np.pi
+        corners = np.round(np.column_stack([np.cos(angles), np.sin(angles)]) * 64) / 64
+        hull = _exact_hull(corners)
+        verts = np.array([[float(v.x), float(v.y)] for v in hull.vertices])
+        ks = rng.integers(1, 16, size=(len(verts), 1)) / 16
+        on_edges = verts + ks * (np.roll(verts, -1, axis=0) - verts)
+        inside = verts.mean(axis=0) + 0.01 * (rng.random((500, 2)) - 0.5)
+        pts = rng.permutation(np.vstack([inside, verts, on_edges]))
+        kept = set(map(tuple, _hull_survivors(pts).tolist()))
+        assert set(map(tuple, verts.tolist())) <= kept
+        assert set(map(tuple, on_edges.tolist())) <= kept
+        assert len(kept) < len(pts)
+
+    def test_axis_parallel_and_single_point_clouds(self):
+        ys = np.linspace(0.0, 1.0, 300)
+        for pts in (np.column_stack([np.zeros(300), ys]), np.column_stack([ys, np.full(300, -2.5)]),
+                    np.tile([0.25, 0.75], (300, 1))):
+            kept = _hull_survivors(pts)
+            assert len(kept) == 8
+            assert _exact_hull(kept).vertices == _exact_hull(pts).vertices
 
 
 class _NoThread:

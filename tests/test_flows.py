@@ -31,7 +31,6 @@ from rotwidth.flows import (
     constant_field,
     equivariant_arc_conjugacy,
     flow,
-    flow_richardson_error,
     make_annulus_tau,
     make_annulus_v,
     parse_experiment_config,
@@ -67,8 +66,9 @@ class TestFlow:
         assert abs(out[0] - 1.25) < 1e-12 and abs(out[1] - 0.1) < 1e-12
 
     def test_richardson_error_small(self):
+        # the flow at step and at step/2 agree: an a posteriori RK4 error check
         X = Field1D(lambda y: 1.0 / (1.0 + y * y))
-        assert flow_richardson_error(X, 0.0, 1.0, step=1e-2) < 1e-9
+        assert abs(flow(X, 0.0, 1.0, step=1e-2) - flow(X, 0.0, 1.0, step=5e-3)) < 1e-9
 
     @pytest.mark.parametrize("t", [math.inf, -math.inf, math.nan])
     def test_non_finite_time_rejected(self, t):
@@ -155,6 +155,28 @@ def _ref_checklist(tau, v, r, y0):
                       and np.all(np.sign(img[:, 1] - y0) == np.sign(offsets)))
     x_err = float(np.max(np.abs(img[:, 0] - 1.0)))
     return measured, [worst, abs(measured - r), x_err], x_err <= 1e-6 and contracted
+
+
+def _ref_stopping_distances(field, floors, *, window=(0.0, 1.0), margin=0.5,
+                            step=1e-3, grid=None):
+    """The stopping-limit series as one flow per floor: the stopping
+    field's flow, then each floored slowdown's on its own."""
+    a, b = window
+    s0 = box_profile(a, b, depth=0.0, margin=margin)
+    if grid is None:
+        if isinstance(field, Field1D):
+            grid = np.linspace(a - margin - 2.0, b + margin + 2.0, 161)
+        else:
+            gx, gy = np.meshgrid(np.linspace(0.0, 1.0, 17)[:-1], np.linspace(-0.95, 0.95, 21),
+                                 indexing="ij")
+            grid = np.column_stack([gx.ravel(), gy.ravel()])
+    ref = np.asarray(_ref_flow(scaled_field(field, s0.fn), grid, 1.0, step=step))
+    out = []
+    for eps in floors:
+        floored = flows.with_floor(s0, eps)
+        img = np.asarray(_ref_flow(scaled_field(field, floored.fn), grid, 1.0, step=step))
+        out.append(float(np.max(np.abs(img - ref))))
+    return out
 
 
 def _wobble(state):
@@ -430,6 +452,14 @@ class TestVerifyConjugacy:
         assert not rep.passed
         assert 0.1 * shift_scale < rep.sup_residual <= shift_scale
 
+    def test_nan_residual_fails(self):
+        # a conjugacy that returns NaN gave sup_residual 0.0 and passed
+        s = box_profile(0.0, 1.0, depth=0.5, margin=0.25)
+        rep = verify_conjugacy(constant_field(1.0), slowdown=s, step=1e-2,
+                               conjugacy=lambda x: x if x < 3.2 else math.nan)
+        assert math.isnan(rep.sup_residual)
+        assert not rep.passed
+
     def test_explicit_slowdown_conjugacy_verifies(self):
         s = box_profile(-0.5, 0.5, depth=0.3, margin=0.3)
         conj = slowdown_conjugacy_1d(s)
@@ -485,6 +515,73 @@ class TestStoppingLimit:
         series = stopping_limit_experiment(constant_field(0.1), [0.5, 0.25])
         series.rows[1].sup_distance = bad
         assert not series.is_weakly_decreasing()
+
+
+_C08_FLOORS = [0.5, 0.25, 0.1, 0.05, 0.02]
+
+
+class TestBatchedExperiments:
+    """The batched stopping-limit flow and the chained conjugacy horizons
+    give the bytes of one flow per floor and one flow per horizon."""
+
+    def test_stopping_distances_pinned(self):
+        line = stopping_limit_experiment(constant_field(0.1), _C08_FLOORS)
+        assert [d.hex() for d in line.distances()] == [
+            "0x1.a00f1cd993ee0p-5", "0x1.a24e5891b3280p-6", "0x1.4ef9713607680p-7",
+            "0x1.4ef3cde904200p-8", "0x1.0bece92291c00p-9"]
+        ring = stopping_limit_experiment(_ANNULUS, [0.5, 0.1], window=(-0.95, -0.75),
+                                         margin=0.04)
+        assert [d.hex() for d in ring.distances()] == [
+            "0x1.59dddcfad9080p-6", "0x1.17779722d0580p-8"]
+
+    @pytest.mark.parametrize("step, want", [
+        (1e-3, ["0x1.4b59c00000000p-34", "0x1.4c3a000000000p-34", "0x1.4caa800000000p-34"]),
+        (1e-2, ["0x1.38b5996000000p-23", "0x1.38b5989800000p-23", "0x1.3a0006e800000p-23"]),
+    ])
+    def test_conjugacy_residuals_pinned(self, step, want):
+        s = box_profile(0.0, 1.0, depth=0.5, margin=0.25)
+        rep = verify_conjugacy(constant_field(1.0), slowdown=s, step=step)
+        assert list(rep.per_time) == [0.25, 0.5, 1.0]
+        assert [r.hex() for r in rep.per_time.values()] == want
+
+    @pytest.mark.parametrize("floors", [[0.5], [1.0, 1.0, 1.0], _C08_FLOORS],
+                             ids=["one", "trivial", "c08"])
+    @pytest.mark.parametrize("field, kwargs", [
+        pytest.param(constant_field(0.1), {}, id="line"),
+        pytest.param(_ANNULUS, {"window": (-0.95, -0.75), "margin": 0.04, "step": 1e-2},
+                     id="annulus"),
+    ])
+    def test_batch_matches_one_flow_per_floor(self, field, kwargs, floors):
+        got = stopping_limit_experiment(field, floors, **kwargs).distances()
+        want = _ref_stopping_distances(field, floors, **kwargs)
+        assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_custom_grid_shapes(self):
+        # a scalar grid and a 2-D grid of line points batch like the default
+        X = constant_field(0.1)
+        for grid in (0.3, np.linspace(-2.0, 3.0, 12).reshape(3, 4)):
+            got = stopping_limit_experiment(X, [0.5, 0.1], grid=grid, step=1e-2).distances()
+            want = _ref_stopping_distances(X, [0.5, 0.1], grid=grid, step=1e-2)
+            assert np.array(got).tobytes() == np.array(want).tobytes()
+
+    def test_rows_share_the_batched_runtime(self):
+        series = stopping_limit_experiment(constant_field(0.1), [0.5, 0.25, 0.1], step=1e-2)
+        assert len({r.runtime_s for r in series.rows}) == 1
+
+    @pytest.mark.parametrize("field", [
+        constant_field(0.0), constant_field(1e-300), constant_field(-0.0),
+        AnnulusField(tau=lambda y: 0.0 * y, v=lambda y: 0.0 * y, name="still"),
+    ], ids=["zero", "tiny", "negative-zero", "still-annulus"])
+    def test_field_that_moves_nothing_rejected(self, field):
+        # every map is the identity: the series would be all zeros and pass
+        with pytest.raises(FlowError, match=f"field {field.name!r} moves no grid point"):
+            stopping_limit_experiment(field, [0.5, 0.25])
+
+    def test_field_moving_only_where_the_stopping_flow_freezes(self):
+        # the stopping map is the identity, the floored ones are not
+        X = Field1D(lambda y: 0.1 * (np.abs(np.asarray(y) - 0.5) < 0.3), name="inside")
+        series = stopping_limit_experiment(X, [0.5, 0.25])
+        assert all(d > 0 for d in series.distances())
 
 
 class TestAnnulusModel:
