@@ -237,12 +237,6 @@ def vnhn(n: int, profile: Profile | None = None) -> Compose:
     return Compose((VShear(p, n), HShear(p, n)))
 
 
-def vh_power(n: int, profile: Profile | None = None) -> Power:
-    """The lift (V o H)^n."""
-    p = profile or _DEFAULT_PROFILE
-    return Power(Compose((VShear(p, 1), HShear(p, 1))), n)
-
-
 def _steps(expr: MapExpr):
     """The generators of `expr` in application order.
 
@@ -313,13 +307,6 @@ class DisplacementSample:
     base: tuple[float, float]
     n: int
     vector: tuple[float, float]
-
-
-@dataclass(frozen=True)
-class RotationVectorEstimate:
-    vector: tuple[float, float]
-    tail_spread: float
-    n: int
 
 
 _MIN_BLOCK = 8192  # fewest points per block; see the module docstring
@@ -440,17 +427,6 @@ def displacement(expr: MapExpr, x: tuple[float, float], n: int) -> DisplacementS
     v = sums[0] / n
     return DisplacementSample(base=(float(x[0]), float(x[1])), n=n,
                               vector=(float(v[0]), float(v[1])))
-
-
-def rotation_vector_estimate(expr: MapExpr, x: tuple[float, float], n: int) -> RotationVectorEstimate:
-    """Orbit rotation vector with a trailing-window convergence diagnostic."""
-    if n < 1:
-        raise DynamicsError("iterate count must be >= 1")
-    pts = np.array([x], dtype=float)
-    sums, spread, _ = _orbit_sums(expr, pts, n, tail=True)
-    v = sums[0] / n
-    return RotationVectorEstimate(vector=(float(v[0]), float(v[1])),
-                                  tail_spread=float(spread[0]), n=n)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ The model fields and profiles keep a float contract: a float in gives a
 float out; arrays broadcast.  So `quad` and `brentq`, which call them on
 single floats, never pay for NumPy on a scalar.  Integration is
 classical fixed-step RK4 in one loop, `flow`, run once per field per
-experiment (the stopping-limit floors are rows of one batched state).
+experiment (the stopping-limit floors are rows of one batched state);
+an equilibrium, such as the annulus rim, takes no step.
 Conley sections need none: a height that solves y' = v(y) meets a level
 where v != 0 at most once.  The fields involved are C^1, so no
 higher-order smoothness is assumed or exploited.  All experiment drivers
@@ -95,7 +96,10 @@ class AnnulusField:
 
     def __call__(self, state):
         y = state[..., 1]
-        return np.stack([self.tau(y) + 0.0 * y, self.v(y) + 0.0 * y], axis=-1)
+        tau, v = self.tau(y) + 0.0 * y, self.v(y) + 0.0 * y
+        out = np.empty(np.shape(tau) + (2,), np.result_type(tau, v))
+        out[..., 0], out[..., 1] = tau, v
+        return out
 
 
 FlowField = Union[Field1D, AnnulusField]
@@ -112,9 +116,9 @@ def _positive(name: str, value: float) -> float:
     return value
 
 
-def _rk4_step(rhs, y, h: float):
-    """One classical RK4 step of size h (negative h steps backwards)."""
-    k1 = rhs(y)
+def _rk4_step(rhs, y, h: float, k1):
+    """One classical RK4 step of size h (negative h steps backwards) from
+    y, whose velocity rhs(y) is k1."""
     k2 = rhs(y + 0.5 * h * k1)
     k3 = rhs(y + 0.5 * h * k2)
     k4 = rhs(y + h * k3)
@@ -128,6 +132,13 @@ def flow(field: FlowField, x, t: float, *, step: float = 1e-3):
     states; the return value matches the input shape (a float for a
     scalar).  Negative times integrate backwards.  The step is shrunk to
     divide |t| evenly.
+
+    Equilibria take no step: when the velocity at the start states has
+    their shape and every component is exactly 0.0 (or -0.0), and no
+    state coordinate is -0.0 or NaN, the states come back unchanged.
+    Every RK4 stage state is then the state itself, so this is byte for
+    byte what the steps return.  A -0.0 coordinate is stepped, since
+    -0.0 + 0.0 is +0.0, and so is a NaN, which an addition may quiet.
     """
     _positive("step", step)
     if not math.isfinite(t):
@@ -135,10 +146,13 @@ def flow(field: FlowField, x, t: float, *, step: float = 1e-3):
     state = np.array(x, dtype=float)
     if t != 0.0:
         velocity = lambda s: np.asarray(field(s), dtype=float)
-        n = max(1, math.ceil(abs(t) / step))
-        h = t / n
-        for _ in range(n):
-            state = _rk4_step(velocity, state, h)
+        k1 = velocity(state)
+        if (k1.shape != state.shape or np.any(k1 != 0.0)
+                or np.any(np.isnan(state) | ((state == 0.0) & np.signbit(state)))):
+            n = max(1, math.ceil(abs(t) / step))
+            h = t / n
+            for i in range(n):
+                state = _rk4_step(velocity, state, h, velocity(state) if i else k1)
     return float(state) if state.ndim == 0 else state
 
 
@@ -178,7 +192,7 @@ def conjugate_to_constant(X: Field1D, *, domain: tuple[float, float] = (-50.0, 5
         raise FieldVanishesError(f"field {X.name!r} is not strictly positive on [{lo}, {hi}]")
 
     def reciprocal(u: float) -> float:
-        x = float(X(u))
+        x = float(X.fn(u))
         if not x > 0.0:
             raise FieldVanishesError(f"field {X.name!r} is not strictly positive at {u!r}")
         return 1.0 / x
@@ -292,21 +306,6 @@ def box_profile(a: float, b: float, *, depth: float, margin: float) -> SlowdownP
 
     return SlowdownProfile(fn=fn, tau_minus=a - margin, tau_plus=b + margin,
                            floor=depth, joints=(a - margin, a, b, b + margin))
-
-
-def with_floor(stopping: SlowdownProfile, floor: float) -> SlowdownProfile:
-    """The slowdown eps + (1 - eps) * s0: same shape, minimum lifted to eps."""
-    if not (0.0 < floor <= 1.0):
-        raise FlowError("floor must lie in (0, 1]")
-    s0 = stopping.fn
-    eps = float(floor)
-
-    def fn(u):
-        return eps + (1.0 - eps) * _real(s0(u))
-
-    return SlowdownProfile(fn=fn, tau_minus=stopping.tau_minus,
-                           tau_plus=stopping.tau_plus, floor=eps,
-                           joints=stopping.joints)
 
 
 def scaled_field(field: FlowField, s: Callable) -> FlowField:
@@ -609,8 +608,10 @@ def annulus_model(tau: Callable, v: Callable, *, expected_period: float | None =
     (item 2 fails: every interior circle is periodic).
 
     Items (1) to (3) are independent RK4 checks at step 1e-3: 16 boundary
-    points in one flow, the orbit point and 4 segment points in another;
-    the period tolerance is 1e-3 and the boundary one 1e-9.  Item (4)
+    points in one flow (where the field vanishes on all of them, as on a
+    model field, `flow`'s equilibrium rule decides them with one field
+    evaluation and no step), the orbit point and 4 segment points in
+    another; the period tolerance is 1e-3 and the boundary one 1e-9.  Item (4)
     uses the skew-product structure: heights solve y' = v(y) on their
     own, and the sign pattern of v (checked on 400 samples; it is the
     hypothesis that makes every height converge monotonically to y0)
@@ -701,7 +702,7 @@ def _height_gap(v: Callable, ys: float, y0: float, t: float, dmin: float) -> flo
     if gap <= 0.0:
         return dmin
     g = conjugate_to_constant(
-        Field1D(lambda u: side * _real(v(ys + side * u)),
+        Field1D(lambda u: side * v(ys + side * u),
                 name=f"height speed from y = {ys!r}"),
         domain=(0.0, gap))
     if t > g.to_time(gap):

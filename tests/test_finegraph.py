@@ -9,11 +9,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rotwidth.dynamics import (
+    Compose,
     HShear,
+    Power,
+    VShear,
     default_profile,
     eval_lift_array,
     tent_profile,
-    vh_power,
     vnhn,
 )
 from rotwidth.finegraph import (
@@ -252,7 +254,8 @@ class TestChainBound:
         assert err.value.stage == "inner_fixes_alpha"
         assert "VShear" in str(err.value)
         # the rejected factor really moves alpha
-        img = eval_lift_array(vh_power(2), ALPHA_SAMPLES)
+        p = default_profile()
+        img = eval_lift_array(Power(Compose((VShear(p, 1), HShear(p, 1))), 2), ALPHA_SAMPLES)
         assert np.abs(img[:, 1] - ALPHA_SAMPLES[:, 1]).max() > 0.1
 
     def test_vertical_circle_counter_matches_generic(self):

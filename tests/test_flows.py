@@ -75,6 +75,54 @@ class TestFlow:
         with pytest.raises(FlowError, match="time t"):
             flow(constant_field(1.0), 0.0, t)
 
+    @pytest.mark.parametrize("t", [1.0, -0.37])
+    @pytest.mark.parametrize("field, x", [
+        pytest.param(constant_field(0.0), 0.7, id="scalar"),
+        pytest.param(constant_field(-0.0), np.array([0.0, -2.5, 1e-300, 7.0]), id="line"),
+        pytest.param(AnnulusField(tau=make_annulus_tau(1.0), v=make_annulus_v(0.05)),
+                     np.column_stack([np.tile([0.0, 0.3], 2), np.repeat([-1.0, 1.0], 2)]),
+                     id="annulus-rim"),
+        pytest.param(AnnulusField(tau=lambda y: 0.0 * y, v=lambda y: 0.0 * y),
+                     np.array([0.25, -0.6]), id="annulus-pair"),
+    ])
+    def test_equilibrium_takes_no_step(self, field, x, t):
+        # every RK4 stage state is the state itself: one evaluation, and
+        # the bytes of the full step loop
+        calls = []
+        counted = lambda s: calls.append(1) or _ref_velocity(field)(s)
+        got = flow(counted, x, t, step=1e-2)
+        want = _ref_flow(field, x, t, step=1e-2)
+        assert type(got) is type(want)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes() == \
+            np.asarray(x, dtype=float).tobytes()
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("field, x", [
+        pytest.param(constant_field(0.0), -0.0, id="negative-zero-state"),
+        pytest.param(constant_field(0.0), np.array([1.0, -0.0]), id="negative-zero-in-array"),
+        pytest.param(Field1D(lambda y: np.full_like(y, np.nan)), np.array([0.5, 1.0]),
+                     id="nan-velocity"),
+        pytest.param(Field1D(lambda y: np.where(np.asarray(y) > 0.0, 0.0, 1.0 + 0.0 * y)),
+                     np.array([-0.5, 0.5]), id="zero-at-some-states"),
+        pytest.param(AnnulusField(tau=lambda y: 0.0 * y, v=lambda y: 0.0 * y),
+                     np.array([-0.0, 0.5]), id="annulus-negative-zero"),
+    ])
+    def test_non_equilibrium_is_stepped(self, field, x):
+        calls = []
+        counted = lambda s: calls.append(1) or _ref_velocity(field)(s)
+        got = flow(counted, x, 0.05, step=1e-2)
+        want = _ref_flow(field, x, 0.05, step=1e-2)
+        assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+        assert len(calls) == 4 * 5
+
+    def test_degenerate_annulus_evaluates_its_rim_once(self):
+        calls = []
+        tau = make_annulus_tau(1.0)
+        counted = lambda y: calls.append(np.shape(y)) or tau(y)
+        rep = annulus_model(counted, lambda y: 0.0 * np.asarray(y))
+        assert rep.degenerate_fibered_rotation and rep.items[0].measured == 0.0
+        assert calls == [(16,)]
+
 
 # Independent references on the classical RK4 step, each with its own step
 # rule: the flow loop, and an RK4 scan that counts how often sampled orbits
@@ -173,8 +221,8 @@ def _ref_stopping_distances(field, floors, *, window=(0.0, 1.0), margin=0.5,
     ref = np.asarray(_ref_flow(scaled_field(field, s0.fn), grid, 1.0, step=step))
     out = []
     for eps in floors:
-        floored = flows.with_floor(s0, eps)
-        img = np.asarray(_ref_flow(scaled_field(field, floored.fn), grid, 1.0, step=step))
+        floored = lambda u, eps=eps: eps + (1.0 - eps) * s0.fn(u)
+        img = np.asarray(_ref_flow(scaled_field(field, floored), grid, 1.0, step=step))
         out.append(float(np.max(np.abs(img - ref))))
     return out
 
@@ -890,11 +938,13 @@ class TestFloatPath:
         ends = (a - margin, a, b, b + margin)
         box = box_profile(a, b, depth=depth, margin=margin)
         _assert_float_path(box.fn, lambda u: _ref_box(u, a, b, depth, margin), xs, ends)
-        floored = flows.with_floor(box_profile(a, b, depth=0.0, margin=margin), eps)
+        # the stopping-limit slowdown eps + (1 - eps) * s0, through scaled_field
+        s0 = box_profile(a, b, depth=0.0, margin=margin).fn
+        floored = lambda u: eps + (1.0 - eps) * s0(u)
         ref_floored = lambda u: eps + (1.0 - eps) * np.asarray(
             _ref_box(u, a, b, 0.0, margin), dtype=float)
-        _assert_float_path(floored.fn, ref_floored, xs, ends)
-        slowed = scaled_field(constant_field(0.1), floored.fn)
+        _assert_float_path(floored, ref_floored, xs, ends)
+        slowed = scaled_field(constant_field(0.1), floored)
         _assert_float_path(slowed, lambda u: np.asarray(ref_floored(u), dtype=float)
                            * (0.1 + 0.0 * np.asarray(u, dtype=float)), xs, ends)
 
