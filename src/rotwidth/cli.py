@@ -1,10 +1,10 @@
 """Command-line front end.
 
 Subcommands: ew (exact essential width of a polygon file), rotset
-(rotation-set estimation for a map DSL expression), roots (no-root
-certificates), verify (verification suites), flow (stopping-limit
-experiment), search (random search for wide polygons with few interior
-lattice points; reporting only, no claims).
+(rotation-set estimate and certified outer box of a map DSL expression),
+roots (no-root certificates), verify (verification suites), flow
+(stopping-limit experiment), search (random search for wide polygons
+with few interior lattice points; reporting only, no claims).
 
 Each subcommand imports the layers it runs when it runs, so the import
 of this module loads only the standard library and rotwidth.geometry.
@@ -30,7 +30,7 @@ from fractions import Fraction
 
 from . import __version__
 from . import geometry as geo
-from .geometry import PolygonFormatError, hausdorff_distance, point
+from .geometry import PolygonFormatError, hausdorff_distance
 
 OK, VERIFY_FAILED, INPUT_ERROR = 0, 1, 2
 
@@ -79,21 +79,20 @@ def cmd_rotset(args) -> int:
     print(_header("rotset", args.seed,
                   f'expr="{args.expr}" grid={args.grid} iters={args.iters}'
                   f" sampler={args.sampler}"))
+    x0, y0, x1, y1 = est.outer_hull.bounding_box()
     print(f"inner hull vertices = {len(est.inner_hull.vertices)}")
-    print(f"outer hull vertices = {len(est.outer_hull.vertices)}")
     print(f"converged fraction = {est.converged_fraction:.4f}")
-    print(f"per-step displacement bound = {est.step_bound:.6g}")
-    print("outer hull is a heuristic proxy, not a certified enclosure")
+    print(f"certified outer box = [{x0}, {x1}] x [{y0}, {y1}]")
+    print(f"EW of the outer box = {geo.essential_width(est.outer_hull)} (certified upper bound)")
     if args.out_prefix:
         geo.save_polygon(f"{args.out_prefix}_inner.txt", est.inner_hull)
         geo.save_polygon(f"{args.out_prefix}_outer.txt", est.outer_hull)
         print(f"wrote {args.out_prefix}_inner.txt, {args.out_prefix}_outer.txt")
     if args.expect_box is not None:
-        box = geo.ConvexPolygonQ([point(0, 0), point(args.expect_box, 0),
-                                  point(args.expect_box, args.expect_box),
-                                  point(0, args.expect_box)])
+        n = args.expect_box
+        box = geo.ConvexPolygonQ([(0, 0), (n, 0), (n, n), (0, n)])
         dist = hausdorff_distance(est.inner_hull, box)
-        print(f"Hausdorff distance to [0,{args.expect_box}]^2 = {dist:.6g}")
+        print(f"Hausdorff distance to [0,{n}]^2 = {dist:.6g}")
     if args.svg:
         meta = None if args.no_meta else (
             f'rotwidth {__version__} rotset expr="{args.expr}"'
@@ -144,8 +143,7 @@ def cmd_verify(args) -> int:
         # claimed.
         pairs = []
         for n in range(1, args.n + 1):
-            box = geo.ConvexPolygonQ([point(0, 0), point(n, 0),
-                                      point(n, n), point(0, n)])
+            box = geo.ConvexPolygonQ([(0, 0), (n, 0), (n, n), (0, n)])
             pairs.append((float(geo.essential_width(box)), 2.0))
         meta = None if args.no_meta else f"rotwidth {__version__} vnhn scatter"
         _write(args.svg, scatter_svg(pairs, meta=meta))
@@ -241,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--expect-box", type=int, default=None,
                    help="report Hausdorff distance to [0,n]^2")
     p.add_argument("--out-prefix", default=None,
-                   help="write inner/outer hull polygon files")
+                   help="write the inner hull and the outer box as polygon files")
     p.add_argument("--svg", default=None, help="write an overlay SVG")
     p.add_argument("--no-meta", action="store_true",
                    help="omit non-reproducible metadata from outputs")

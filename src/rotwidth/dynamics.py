@@ -1,5 +1,5 @@
 """Lifts of torus homeomorphisms built from vertical/horizontal shears,
-their iteration, and rotation-set estimation.
+their iteration, and rotation-set estimates and bounds.
 
 A map expression is a small AST over the generators
 
@@ -35,13 +35,13 @@ blocks took 0.45x the time of one at 256^2 points and 0.61x at 128^2,
 but 0.81x at 96^2, 1.3x at 64^2 and 2.8x at 32^2, where thread handoffs
 outweigh the array work; the 8,192-point floor keeps a margin above that
 break-even.  The split is exact: each base point's orbit touches only its
-own columns, and the one reduction across points, the step bound, is a
-max, which does not depend on order.  Otherwise the grid is not chunked:
-chunks of 1k to 64k points timed the same in one thread.  Wrapping is
-`x - floor(x)`, which `_wrap` shows is bit-identical to `np.mod(x, 1.0)`.
-A rotation-set hull is the exact hull of the rows that a prefilter,
-`_hull_survivors`, cannot prove strictly inside it: a handful of the
-65,536 at 256^2.  No float hull is taken.
+own columns, and nothing is reduced across points.  The grid is not
+chunked otherwise: chunks of 1k to 64k points timed the same in one
+thread.  Wrapping is `x - floor(x)`, which `_wrap` shows is
+bit-identical to `np.mod(x, 1.0)`.  An estimate's inner hull is the
+exact hull of the rows that a prefilter, `_hull_survivors`, cannot prove
+strictly inside it (a handful of 65,536 at 256^2); its outer hull is the
+certified `displacement_box`, read off the expression.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ from typing import Union
 
 import numpy as np
 
-from .geometry import ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, to_rational
+from .geometry import ConvexPolygonQ, hausdorff_distance, to_rational
 
 
 class DynamicsError(ValueError):
@@ -257,6 +257,31 @@ def _steps(expr: MapExpr):
         raise TypeError(f"not a map expression: {expr!r}")
 
 
+def displacement_box(expr: MapExpr) -> ConvexPolygonQ:
+    """The exact box that holds every one-step displacement of the lift,
+    and so its rotation set, which lies in the hull of those displacements
+    (Misiurewicz & Ziemian, J. London Math. Soc. 40, 1989).  As phi is in
+    [0, 1], a shear of power k adds [min(0, k), max(0, k)] on its axis; a
+    translation adds its exact double; Compose sums and Power(e, m) is m
+    times the box of e, with nothing unrolled."""
+    x0, x1, y0, y1 = _box(expr)
+    return ConvexPolygonQ([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def _box(expr: MapExpr) -> tuple:
+    """`displacement_box` as (x_lo, x_hi, y_lo, y_hi)."""
+    if isinstance(expr, (VShear, HShear)):
+        k = (min(0, expr.power), max(0, expr.power))
+        return (0, 0) + k if isinstance(expr, VShear) else k + (0, 0)
+    if isinstance(expr, Translate):
+        return (Fraction(expr.dx),) * 2 + (Fraction(expr.dy),) * 2
+    if isinstance(expr, Compose):
+        return tuple(map(sum, zip(*map(_box, expr.parts))))
+    if isinstance(expr, Power):
+        return tuple(expr.exponent * v for v in _box(expr.base))
+    raise TypeError(f"not a map expression: {expr!r}")
+
+
 def lift_lipschitz_bound(expr: MapExpr) -> float:
     """Upper bound on the Lipschitz constant of the plane lift.
 
@@ -331,10 +356,10 @@ def _orbit_sums(expr: MapExpr, pts: np.ndarray, n: int, *, tail: bool):
     """Iterate the lift n times from `pts`, accumulating per-step
     displacements with Kahan compensation.
 
-    Returns (sums, tail_spread or None, max_step_inf), with sums of shape
-    (N, 2) and tail_spread of shape (N,).  The tail spread is the
-    per-point coordinate range of the running averages sums/k over the
-    trailing 10% of the iterates, a cheap Cauchy-style convergence proxy.
+    Returns (sums, tail_spread or None), with sums of shape (N, 2) and
+    tail_spread of shape (N,).  The tail spread is the per-point coordinate
+    range of the running averages sums/k over the trailing 10% of the
+    iterates, a cheap Cauchy-style convergence proxy.
 
     Base points are wrapped to their torus representatives up front (exact
     in binary floating point), so results do not depend on the lift
@@ -369,9 +394,9 @@ def _orbit_sums(expr: MapExpr, pts: np.ndarray, n: int, *, tail: bool):
         raise
     if isinstance(second[0], BaseException):
         raise second[0]
-    (sums1, spread1, max1), (sums2, spread2, max2) = first, second[0]
+    (sums1, spread1), (sums2, spread2) = first, second[0]
     spread = None if spread1 is None else np.concatenate([spread1, spread2])
-    return np.concatenate([sums1, sums2]), spread, max(max1, max2)
+    return np.concatenate([sums1, sums2]), spread
 
 
 def _orbit_block(expr: MapExpr, pts: np.ndarray, n: int, tail: bool, stop):
@@ -387,7 +412,6 @@ def _orbit_block(expr: MapExpr, pts: np.ndarray, n: int, tail: bool, stop):
     if tail:
         tail_lo, tail_hi = np.empty_like(pos), np.empty_like(pos)
     tail_start = n - max(1, n // 10)
-    max_step = 0.0
     for k in range(1, n + 1):
         if stop is not None and stop.is_set():
             return None
@@ -400,10 +424,6 @@ def _orbit_block(expr: MapExpr, pts: np.ndarray, n: int, tail: bool, stop):
         np.subtract(comp, y, out=comp)
         sums, t = t, sums
         _wrap(nxt, pos)
-        if step.size:
-            ms = float(np.abs(step, out=step).max())
-            if ms > max_step:
-                max_step = ms
         if tail and k > tail_start:
             avg = np.divide(sums, k, out=y)
             if k == tail_start + 1:
@@ -415,15 +435,14 @@ def _orbit_block(expr: MapExpr, pts: np.ndarray, n: int, tail: bool, stop):
     spread = None
     if tail and n >= 1:
         spread = np.subtract(tail_hi, tail_lo, out=tail_hi).max(axis=0)
-    return sums.T, spread, max_step
+    return sums.T, spread
 
 
 def displacement(expr: MapExpr, x: tuple[float, float], n: int) -> DisplacementSample:
     """Averaged displacement (lift^n(x) - x)/n of a single orbit."""
     if n < 1:
         raise DynamicsError("iterate count must be >= 1")
-    pts = np.array([x], dtype=float)
-    sums, _, _ = _orbit_sums(expr, pts, n, tail=False)
+    sums, _ = _orbit_sums(expr, np.array([x], dtype=float), n, tail=False)
     v = sums[0] / n
     return DisplacementSample(base=(float(x[0]), float(x[1])), n=n,
                               vector=(float(v[0]), float(v[1])))
@@ -434,13 +453,9 @@ def displacement(expr: MapExpr, x: tuple[float, float], n: int) -> DisplacementS
 
 @dataclass
 class RotationSetEstimate:
-    """Inner/outer polygon approximations of a rotation set.
-
-    inner_hull is the hull of orbit rotation vectors passing the
-    convergence proxy; outer_hull is the hull of all sampled averages
-    dilated by (observed one-step displacement bound)/n.  The outer hull is
-    a heuristic proxy, not a certified enclosure.
-    """
+    """A rotation set's inner hull, the estimated hull of the orbit rotation
+    vectors that pass the convergence proxy, and its outer hull, the
+    certified `displacement_box` of the expression."""
 
     inner_hull: ConvexPolygonQ
     outer_hull: ConvexPolygonQ
@@ -451,14 +466,16 @@ class RotationSetEstimate:
     spread_threshold: float
     converged_fraction: float
     max_tail_spread: float
-    step_bound: float
 
 
-def _check_seed(seed: int) -> None:
+def _halton_points(count: int, seed: int) -> np.ndarray:
     # scipy.stats.qmc rejects a negative seed with a message that does not
     # name it; refuse it here, before SciPy is loaded.
     if seed < 0:
         raise DynamicsError(f"seed must be >= 0 for the Halton sampler, got {seed}")
+    from scipy.stats import qmc
+
+    return qmc.Halton(d=2, scramble=True, seed=seed).random(count)
 
 
 def _grid_points(grid: int, sampler: str, seed: int) -> np.ndarray:
@@ -467,11 +484,7 @@ def _grid_points(grid: int, sampler: str, seed: int) -> np.ndarray:
         xx, yy = np.meshgrid(side, side, indexing="ij")
         return np.column_stack([xx.ravel(), yy.ravel()])
     if sampler == "halton":
-        _check_seed(seed)
-        from scipy.stats import qmc
-
-        eng = qmc.Halton(d=2, scramble=True, seed=seed)
-        return eng.random(grid * grid)
+        return _halton_points(grid * grid, seed)
     raise DynamicsError(f"unknown sampler {sampler!r}")
 
 
@@ -505,14 +518,14 @@ def rotation_set_estimate(expr: MapExpr, grid: int, iterates: int, *,
     (plus a tiny absolute floor so that exactly-converged families such as
     rigid translations pass).  The hull of all grid points is independent
     of any partitioning of the grid, and the run is deterministic given
-    (seed, grid, iterates).
+    (seed, grid, iterates).  The outer hull is `displacement_box(expr)`.
     """
     if grid < 2:
         raise DynamicsError("grid must be >= 2")
     if iterates < 1:
         raise DynamicsError("iterate count must be >= 1")
     pts = _grid_points(grid, sampler, seed)
-    sums, spread, max_step = _orbit_sums(expr, pts, iterates, tail=True)
+    sums, spread = _orbit_sums(expr, pts, iterates, tail=True)
     est = sums / iterates
 
     diam = float(max(np.ptp(est[:, 0]), np.ptp(est[:, 1]))) if len(est) else 0.0
@@ -526,14 +539,10 @@ def rotation_set_estimate(expr: MapExpr, grid: int, iterates: int, *,
         frac = 0.0
 
     inner = ConvexPolygonQ(map(tuple, _hull_survivors(converged).tolist()))
-    outer = ConvexPolygonQ(map(tuple, _hull_survivors(est).tolist()))
-    radius = Fraction(max_step) / iterates if max_step > 0 else Fraction(0)
-    outer = dilate_polygon_linf(outer, radius)
     return RotationSetEstimate(
-        inner_hull=inner, outer_hull=outer, grid=grid, iterates=iterates,
-        sampler=sampler, seed=seed, spread_threshold=threshold,
+        inner_hull=inner, outer_hull=displacement_box(expr), grid=grid,
+        iterates=iterates, sampler=sampler, seed=seed, spread_threshold=threshold,
         converged_fraction=frac, max_tail_spread=float(spread.max()),
-        step_bound=max_step,
     )
 
 
@@ -561,12 +570,9 @@ def verify_displacement_box(n: int, *, profile: Profile | None = None,
     """
     if samples < 1:
         raise DynamicsError("need at least one sample")
-    _check_seed(seed)
-    from scipy.stats import qmc
-
+    pts = _halton_points(samples, seed)
     if expr is None:
         expr = vnhn(n, profile)
-    pts = qmc.Halton(d=2, scramble=True, seed=seed).random(samples)
     img = eval_lift_array(expr, pts)
     d = img - pts
     low = float(-d.min()) if d.size else 0.0

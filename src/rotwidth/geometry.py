@@ -280,11 +280,6 @@ class ConvexPolygonQ:
         return f"ConvexPolygonQ[{inner}]"
 
 
-def convex_hull(points: Iterable[Point2Q | tuple]) -> ConvexPolygonQ:
-    """Exact convex hull; errors on an empty input."""
-    return ConvexPolygonQ(points)
-
-
 def _width_int(C: ConvexPolygonQ, a: int, b: int) -> Fraction:
     vals = [a * v.x + b * v.y for v in C.vertices]
     return max(vals) - min(vals)

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -57,6 +58,18 @@ class TestRotset:
         inner = (tmp_path / "rs_inner.txt").read_text()
         assert inner  # canonical rational vertices written
         assert "converged fraction = 1.0000" in out
+        # the box of a translation is its exact double: one point
+        assert (tmp_path / "rs_outer.txt").read_text() == f"{Fraction(1 / 3)} 1/4\n"
+
+    def test_outer_box_is_certified(self, tmp_path, capsys):
+        prefix = str(tmp_path / "box")
+        code, out, _ = run_cli(capsys, "rotset", "T(1,-2) (V^2 H^2)^2", "--grid", "8",
+                               "--iters", "20", "--no-meta", "--out-prefix", prefix)
+        assert code == 0
+        assert "certified outer box = [1, 5] x [-2, 2]\n" in out
+        assert "EW of the outer box = 4 (certified upper bound)\n" in out
+        assert "heuristic" not in out and "displacement bound" not in out
+        assert (tmp_path / "box_outer.txt").read_text() == "1 -2\n5 -2\n5 2\n1 2\n"
 
     def test_expect_box(self, capsys):
         code, out, _ = run_cli(capsys, "rotset", "V^2 H^2", "--grid", "32",

@@ -1,6 +1,7 @@
 """Shear-lift evaluation, displacements, and rotation-set estimation."""
 
 import dataclasses
+import itertools
 import math
 import os
 import struct
@@ -10,7 +11,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from rotwidth import dynamics
 from rotwidth.dynamics import (
@@ -24,6 +25,7 @@ from rotwidth.dynamics import (
     VShear,
     default_profile,
     displacement,
+    displacement_box,
     eval_lift,
     eval_lift_array,
     lift_lipschitz_bound,
@@ -38,13 +40,33 @@ from rotwidth.dynamics import (
     _orbit_sums,
     _steps,
 )
-from rotwidth.geometry import ConvexPolygonQ, hausdorff_distance, point
+from rotwidth.geometry import ConvexPolygonQ, dilate_polygon_linf, hausdorff_distance, point
 
 FIXED_POINTS = [(0.0, 0.0), (0.0, 0.5), (0.5, 0.0), (0.5, 0.5)]
 
 
+def _box(x0, y0, x1, y1):
+    return ConvexPolygonQ([point(x0, y0), point(x1, y0), point(x1, y1), point(x0, y1)])
+
+
 def box_polygon(n):
-    return ConvexPolygonQ([point(0, 0), point(n, 0), point(n, n), point(0, n)])
+    return _box(0, 0, n, n)
+
+
+def _box_tolerance(box):
+    """The c04 tolerance: 8 ulps of the box's scale.  A float displacement
+    sums increments that each lie in the exact box; each step rounds by at
+    most half an ulp of a coordinate below 1 + scale, so a word of at most
+    7 steps leaves the box by less."""
+    scale = max([1, *(abs(c) for v in box.vertices for c in (v.x, v.y))])
+    return 8.0 * float(np.spacing(float(scale)))
+
+
+def _box_excess(d, box):
+    """How far the rows of d (N, 2) reach outside box (0.0 when inside)."""
+    x0, y0, x1, y1 = map(float, box.bounding_box())
+    lo, hi = d.min(axis=0), d.max(axis=0)
+    return max(0.0, x0 - lo[0], y0 - lo[1], hi[0] - x1, hi[1] - y1)
 
 
 class TestEvalLift:
@@ -161,7 +183,7 @@ def _vh_power(n):
 
 def _rotation_vector(expr, x, n):
     """One orbit's averaged displacement sums/n and its tail spread."""
-    sums, spread, _ = _orbit_sums(expr, np.array([x], dtype=float), n, tail=True)
+    sums, spread = _orbit_sums(expr, np.array([x], dtype=float), n, tail=True)
     return (float(sums[0, 0] / n), float(sums[0, 1] / n)), float(spread[0])
 
 
@@ -230,6 +252,7 @@ class TestRotationSetEstimate:
     def test_vnhn_recovers_box(self):
         est = rotation_set_estimate(vnhn(2), 64, 400)
         assert hausdorff_distance(est.inner_hull, box_polygon(2)) <= 1e-9
+        assert est.outer_hull == box_polygon(2)
         assert est.outer_hull.contains_polygon(est.inner_hull)
 
     def test_translation_gives_point(self):
@@ -250,9 +273,18 @@ class TestRotationSetEstimate:
             rotation_set_estimate(vnhn(1), 4, 5, sampler="halton", seed=-1)
 
     def test_containment_inner_in_outer(self):
-        for expr in (vnhn(1), _vh_power(2), Translate(0.1, 0.9)):
+        for expr in (vnhn(1), _vh_power(2)):
             est = rotation_set_estimate(expr, 12, 80)
+            assert est.outer_hull == displacement_box(expr)
             assert est.outer_hull.contains_polygon(est.inner_hull)
+        # a non-dyadic translation's box is one point, its exact double; the
+        # averages leave it by rounding, within the c04 tolerance
+        for expr in (Translate(0.1, 0.9), Translate(1 / 3, 1 / 4)):
+            est = rotation_set_estimate(expr, 12, 80)
+            box = displacement_box(expr)
+            assert est.outer_hull == box and box.dimension == 0
+            slack = dilate_polygon_linf(box, Fraction(_box_tolerance(box)))
+            assert slack.contains_polygon(est.inner_hull)
 
     def test_monotone_stabilization(self):
         dists = []
@@ -286,9 +318,8 @@ class TestRotationSetEstimate:
         xx, yy = np.meshgrid(side, side, indexing="ij")
         grid = np.column_stack([xx.ravel(), yy.ravel()])
         grid -= np.floor(grid)
-        first_step = np.abs(eval_lift_array(expr, grid) - grid).max()
-        assert est.step_bound >= first_step
-        assert est.step_bound <= 1 + 1e-12
+        first_step = eval_lift_array(expr, grid) - grid
+        assert _box_excess(first_step, est.outer_hull) <= _box_tolerance(est.outer_hull)
 
 
 class TestDisplacementBox:
@@ -471,7 +502,6 @@ def _ref_orbit_sums(expr, pts, n, tail):
     comp = np.zeros_like(pos)
     tail_lo = tail_hi = None
     tail_start = n - max(1, n // 10)
-    max_step = 0.0
     for k in range(1, n + 1):
         nxt = _ref_lift(expr, pos)
         step = nxt - pos
@@ -480,13 +510,12 @@ def _ref_orbit_sums(expr, pts, n, tail):
         comp = (t - sums) - y
         sums = t
         pos = np.mod(nxt, 1.0)
-        max_step = max(max_step, float(np.abs(step).max()))
         if tail and k > tail_start:
             avg = sums / k
             tail_lo = avg if tail_lo is None else np.minimum(tail_lo, avg)
             tail_hi = avg if tail_hi is None else np.maximum(tail_hi, avg)
     spread = (tail_hi - tail_lo).max(axis=1) if tail else None
-    return sums, spread, max_step
+    return sums, spread
 
 
 _PL = PiecewiseLinearProfile([(0, 0.0), (Fraction(1, 5), 0.3), (Fraction(1, 2), 1.0),
@@ -519,11 +548,10 @@ class TestOrbitKernelReference:
         grids = (_grid_points(64, "uniform", 0), _grid_points(16, "halton", 3),
                  np.array([[0.3, 0.7]]), np.array([[-1.25, 2.5]]), two_blocks)
         for pts in grids:
-            sums, spread, max_step = _orbit_sums(expr, pts, 25, tail=tail)
-            ref_sums, ref_spread, ref_max = _ref_orbit_sums(expr, pts, 25, tail)
+            sums, spread = _orbit_sums(expr, pts, 25, tail=tail)
+            ref_sums, ref_spread = _ref_orbit_sums(expr, pts, 25, tail)
             assert sums.shape == ref_sums.shape
             assert sums.tobytes() == ref_sums.tobytes()
-            assert max_step == ref_max
             if tail:
                 assert spread.shape == (len(pts),)
                 assert spread.tobytes() == ref_spread.tobytes()
@@ -539,19 +567,75 @@ class TestOrbitKernelReference:
         assert img.shape == pts.shape and img.flags.c_contiguous
         assert img.tobytes() == _ref_lift(KERNEL_EXPRS[name], pts).tobytes()
 
+
+_BOX_PROFILES = st.sampled_from([default_profile(), tent_profile(), _PL])
+_BOX_SHIFTS = st.one_of(st.integers(-3, 3),
+                        st.fractions(-3, 3, max_denominator=12)).map(float)
+_BOX_WORDS = st.recursive(
+    st.one_of(st.builds(VShear, _BOX_PROFILES, st.integers(-4, 4)),
+              st.builds(HShear, _BOX_PROFILES, st.integers(-4, 4)),
+              st.builds(Translate, _BOX_SHIFTS, _BOX_SHIFTS)),
+    lambda words: st.one_of(
+        st.lists(words, min_size=1, max_size=3).map(lambda parts: Compose(tuple(parts))),
+        st.builds(Power, words, st.integers(1, 3))),
+    max_leaves=5)
+
+
+class TestDisplacementBoxOfWords:
+    """`displacement_box` holds every one-step displacement of the lift."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_BOX_WORDS, st.integers(0, 2**32 - 1))
+    def test_every_one_step_displacement_lies_in_the_box(self, expr, seed):
+        assume(sum(1 for _ in itertools.islice(_steps(expr), 8)) <= 7)
+        rng = np.random.default_rng(seed)
+        pts = np.vstack([rng.random((256, 2)), FIXED_POINTS])
+        box = displacement_box(expr)
+        d = eval_lift_array(expr, pts) - pts
+        assert _box_excess(d, box) <= _box_tolerance(box)
+
+    def test_power_is_not_unrolled(self):
+        assert displacement_box(Power(vnhn(1), 10**9)) == box_polygon(10**9)
+
+    def test_box_of_words(self):
+        p = default_profile()
+        third, fifth = Fraction(1 / 3), Fraction(-1 / 5)  # the doubles the kernel adds
+        assert displacement_box(KERNEL_EXPRS["negative_power"]) == _box(0, -2, 3, 0)
+        assert displacement_box(KERNEL_EXPRS["translated_power"]) == _box(
+            third, fifth, third + 4, fifth + 4)
+        assert displacement_box(Compose((Translate(1, -2), Power(vnhn(2), 2)))) == _box(
+            1, -2, 5, 2)
+        assert displacement_box(Power(Compose((VShear(p, 3), VShear(p, -5))), 2)) == _box(
+            0, -10, 0, 6)
+        assert displacement_box(Translate(0.0, -0.0)).vertices == (point(0, 0),)
+        with pytest.raises(TypeError, match="not a map expression"):
+            displacement_box("V")
+
+    @pytest.mark.parametrize("name", sorted(KERNEL_EXPRS))
+    def test_estimate_outer_hull_is_the_box(self, name):
+        expr = KERNEL_EXPRS[name]
+        assert rotation_set_estimate(expr, 4, 3).outer_hull == displacement_box(expr)
+
+
 class TestHullSurvivors:
     """`_hull_survivors` drops only rows strictly inside the exact hull."""
 
     @settings(max_examples=300, deadline=None)
     @given(st.sampled_from(_FAMILIES), st.integers(0, 2**32 - 1))
+    # segment hulls with a dropped middle row: (0, 0)-(1, 0) and (0, 0)-(0, 1)
+    @example(family="signed-zeros", seed=34)
+    @example(family="signed-zeros", seed=11654)
     def test_survivors_give_the_exact_hull(self, family, seed):
         pts = _adversarial_cloud(family, seed)
         hull = _exact_hull(pts)
         kept = _hull_survivors(pts)
         assert _exact_hull(kept).vertices == hull.vertices
-        # whatever was dropped lies strictly inside
+        # whatever was dropped lies strictly inside; a flat hull has no
+        # interior, and an axis-parallel cloud keeps only its extremes, so
+        # the rows it drops lie on the hull
         dropped = set(map(tuple, pts.tolist())) - set(map(tuple, kept.tolist()))
-        assert all(hull.contains(point(*p), strict=True) for p in dropped)
+        strict = hull.dimension == 2
+        assert all(hull.contains(point(*p), strict=strict) for p in dropped)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.tuples(st.floats(-100, 100), st.floats(-100, 100)),
@@ -676,14 +760,14 @@ class TestOrbitBlocks:
         want = {}
         for n in range(1, 7):
             monkeypatch.setattr(dynamics, "_block_count", lambda m: 1)
-            sums, spread, step = _orbit_sums(vnhn(n), pts, 30, tail=True)
-            want[n] = (sums.tobytes(), spread.tobytes(), step)
+            sums, spread = _orbit_sums(vnhn(n), pts, 30, tail=True)
+            want[n] = (sums.tobytes(), spread.tobytes())
         monkeypatch.setattr(dynamics, "_block_count", lambda m: 2)
         got = {}
 
         def call(n):
-            sums, spread, step = _orbit_sums(vnhn(n), pts, 30, tail=True)
-            got[n] = (sums.tobytes(), spread.tobytes(), step)
+            sums, spread = _orbit_sums(vnhn(n), pts, 30, tail=True)
+            got[n] = (sums.tobytes(), spread.tobytes())
 
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)

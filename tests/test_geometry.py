@@ -20,7 +20,6 @@ from rotwidth.geometry import (
     apply_unimodular,
     check_compare_width,
     closed_lattice_points,
-    convex_hull,
     dilate_polygon_linf,
     directional_width,
     dump_polygon,
@@ -60,19 +59,19 @@ def brute_force_width_min(C, radius):
 
 class TestConvexHull:
     def test_single_point(self):
-        C = convex_hull([point(0, 0)])
+        C = ConvexPolygonQ([point(0, 0)])
         assert C.dimension == 0
         assert C.vertices == (point(0, 0),)
 
     def test_collinear_points_become_segment(self):
-        C = convex_hull([point(0, 0), point(1, 0), point(2, 0)])
+        C = ConvexPolygonQ([point(0, 0), point(1, 0), point(2, 0)])
         assert C.dimension == 1
         assert C.vertices == (point(0, 0), point(2, 0))
 
     def test_interior_point_dropped(self):
         pts = [point(0, 0), point(1, 0), point(0, 1), point(1, 1),
                point("1/2", "1/2")]
-        C = convex_hull(pts)
+        C = ConvexPolygonQ(pts)
         assert C.vertices == unit_square().vertices
         # oracle: every input point lies in every edge half-plane of the hull
         for p in pts:
@@ -88,7 +87,7 @@ class TestConvexHull:
 
     def test_empty_input_rejected(self):
         with pytest.raises(GeometryError):
-            convex_hull([])
+            ConvexPolygonQ([])
 
 
 def fraction_hull(points):
@@ -157,7 +156,7 @@ class TestDirectionalWidth:
         assert directional_width(C, w) == max(dots) - min(dots) == 2
 
     def test_point_polygon_zero(self):
-        assert directional_width(convex_hull([point(3, 4)]), (5, -7)) == 0
+        assert directional_width(ConvexPolygonQ([point(3, 4)]), (5, -7)) == 0
 
     def test_rejects_non_primitive(self):
         with pytest.raises(GeometryError):
@@ -177,7 +176,7 @@ class TestUnimodular:
         assert len(img.vertices) == 4
 
     def test_point_maps_to_point(self):
-        C = convex_hull([point("1/2", "-3/4")])
+        C = ConvexPolygonQ([point("1/2", "-3/4")])
         img = apply_unimodular(UnimodularMatrix(2, 1, 1, 1), C)
         assert img.dimension == 0
         assert img.vertices[0] == point("1/4", "-1/4")
@@ -202,14 +201,14 @@ class TestEssentialWidth:
         assert brute_force_width_min(C, 10) == 3
 
     def test_segment_annihilated(self):
-        seg = convex_hull([point(0, 0), point(3, 6)])
+        seg = ConvexPolygonQ([point(0, 0), point(3, 6)])
         detail = essential_width_detail(seg)
         assert detail.value == 0
         a, b = detail.direction
         assert a * 3 + b * 6 == 0  # direction annihilates the segment
 
     def test_point_zero(self):
-        assert essential_width(convex_hull([point("1/3", 5)])) == 0
+        assert essential_width(ConvexPolygonQ([point("1/3", 5)])) == 0
 
     def test_matches_brute_force_on_triangle(self):
         assert brute_force_width_min(paper_triangle(), 5) == F(10, 3)
@@ -244,7 +243,7 @@ class TestLatticePoints:
         assert pts == [(i, j) for i in (-1, 0, 1) for j in (-1, 0, 1)]
 
     def test_segment_has_no_interior(self):
-        assert interior_lattice_points(convex_hull([point(0, 0), point(5, 0)])) == []
+        assert interior_lattice_points(ConvexPolygonQ([point(0, 0), point(5, 0)])) == []
 
     def test_vertical_edge_on_integer_x(self):
         # left edge x = 0 and right edge x = 3; both are boundary only
@@ -279,11 +278,11 @@ class TestLatticePoints:
         assert closed_lattice_points(thin) == []
 
     def test_degenerate_closed_points(self):
-        assert closed_lattice_points(convex_hull([point(2, -1)])) == [(2, -1)]
-        assert closed_lattice_points(convex_hull([point("1/2", 1)])) == []
-        vertical = convex_hull([point(1, "-1/2"), point(1, "5/2")])
+        assert closed_lattice_points(ConvexPolygonQ([point(2, -1)])) == [(2, -1)]
+        assert closed_lattice_points(ConvexPolygonQ([point("1/2", 1)])) == []
+        vertical = ConvexPolygonQ([point(1, "-1/2"), point(1, "5/2")])
         assert closed_lattice_points(vertical) == [(1, 0), (1, 1), (1, 2)]
-        slanted = convex_hull([point(-1, -2), point(3, 6)])
+        slanted = ConvexPolygonQ([point(-1, -2), point(3, 6)])
         assert closed_lattice_points(slanted) == [(x, 2 * x) for x in range(-1, 4)]
 
 
@@ -297,7 +296,7 @@ class TestThreeNonaligned:
         assert has_three_nonaligned_interior(C)
 
     def test_segment(self):
-        assert not has_three_nonaligned_interior(convex_hull([point(0, 0), point(9, 3)]))
+        assert not has_three_nonaligned_interior(ConvexPolygonQ([point(0, 0), point(9, 3)]))
 
 
 class TestCompareWidth:
