@@ -24,6 +24,7 @@ fields, so identical invocations produce byte-identical text.
 from __future__ import annotations
 
 import argparse
+import math
 import random
 import sys
 from fractions import Fraction
@@ -84,6 +85,13 @@ def cmd_rotset(args) -> int:
     print(f"converged fraction = {est.converged_fraction:.4f}")
     print(f"certified outer box = [{x0}, {x1}] x [{y0}, {y1}]")
     print(f"EW of the outer box = {geo.essential_width(est.outer_hull)} (certified upper bound)")
+    ix0, iy0, ix1, iy1 = est.inner_hull.bounding_box()
+    excess = max(0, x0 - ix0, ix1 - x1, y0 - iy0, iy1 - y1)
+    tol = 8 * math.ulp(float(max(1, -x0, x1, -y0, y1)))
+    if excess:
+        print(f"inner hull leaves the outer box by {float(excess):.6g}, "
+              f"{'within' if excess <= tol else 'beyond'} the float rounding tolerance"
+              f" {tol:.6g} (8 ulps of the box scale)")
     if args.out_prefix:
         geo.save_polygon(f"{args.out_prefix}_inner.txt", est.inner_hull)
         geo.save_polygon(f"{args.out_prefix}_outer.txt", est.outer_hull)

@@ -11,12 +11,16 @@ where phi is a 1-periodic speed profile with phi(0) = 0 and phi(1/2) = 1,
 taking values in [0, 1].  Compose and Power are unrolled in one place,
 `_steps`, whose docstring gives the composition order.
 
-Arithmetic is double precision with Kahan-compensated accumulation of
-per-step displacements; orbit positions are wrapped to [0,1)^2 each step
-(wrapping is exact in binary floating point, and the profiles are
-1-periodic, so this loses nothing).  The sine-squared profile is exactly
-0 at integers and exactly 1 at half-integers, which makes the
-distinguished fixed points of V^n H^n and their displacement vectors exact.
+Arithmetic is double precision.  Orbit positions are wrapped to the unit
+square each step, and an orbit's lifted displacement is the change in its
+wrapped position plus the integer parts the wraps took off, which stay
+exact while their sum is below 2^53.  The wrap `x - floor(x)` is exact for
+x >= 0 and for x <= -1/2; on (-1/2, 0) it rounds x + 1 by at most 2^-54
+(-1e-20 gives 1.0), and the lifted displacement then differs by as much
+per such wrap from the sum of the one-step displacements.  The sine-squared
+profile is exactly 0 at integers and exactly 1 at half-integers, which
+makes the distinguished fixed points of V^n H^n and their displacement
+vectors exact.
 
 One interpreter, `_run`, applies a lift in place to a C-contiguous (2, N)
 column buffer; `eval_lift_array` and the orbit loop `_orbit_block` share
@@ -353,17 +357,17 @@ def _block_count(n_points: int) -> int:
 
 
 def _orbit_sums(expr: MapExpr, pts: np.ndarray, n: int, *, tail: bool):
-    """Iterate the lift n times from `pts`, accumulating per-step
-    displacements with Kahan compensation.
+    """Iterate the lift n times from `pts` and return each orbit's lifted
+    displacement: the change in its wrapped position plus the integer parts
+    that the wraps took off (see the module docstring).
 
     Returns (sums, tail_spread or None), with sums of shape (N, 2) and
     tail_spread of shape (N,).  The tail spread is the per-point coordinate
     range of the running averages sums/k over the trailing 10% of the
     iterates, a cheap Cauchy-style convergence proxy.
 
-    Base points are wrapped to their torus representatives up front (exact
-    in binary floating point), so results do not depend on the lift
-    representative supplied by the caller.
+    Base points are wrapped to their torus representatives up front, so
+    results do not depend on the lift representative supplied by the caller.
 
     With two blocks (`_block_count`) the first half of the points runs in
     the calling thread and the second in one worker thread.  An exception
@@ -402,12 +406,9 @@ def _orbit_sums(expr: MapExpr, pts: np.ndarray, n: int, *, tail: bool):
 def _orbit_block(expr: MapExpr, pts: np.ndarray, n: int, tail: bool, stop):
     """`_orbit_sums` on one block of points; returns None early once the
     `stop` event (None for a lone block) is set."""
-    nxt = pts.T.copy()
-    pos = np.empty_like(nxt)
-    _wrap(nxt, pos)
-    sums = np.zeros_like(pos)
-    comp = np.zeros_like(pos)
-    step, y, t = np.empty_like(pos), np.empty_like(pos), np.empty_like(pos)
+    pos0 = np.empty((2, len(pts)))
+    _wrap(pts.T, pos0)
+    pos, whole, fl = pos0.copy(), np.zeros_like(pos0), np.empty_like(pos0)
     scratch = np.empty(pos.shape[1])
     if tail:
         tail_lo, tail_hi = np.empty_like(pos), np.empty_like(pos)
@@ -415,17 +416,14 @@ def _orbit_block(expr: MapExpr, pts: np.ndarray, n: int, tail: bool, stop):
     for k in range(1, n + 1):
         if stop is not None and stop.is_set():
             return None
-        np.copyto(nxt, pos)
-        _run(expr, nxt, scratch)
-        np.subtract(nxt, pos, out=step)
-        np.subtract(step, comp, out=y)
-        np.add(sums, y, out=t)
-        np.subtract(t, sums, out=comp)
-        np.subtract(comp, y, out=comp)
-        sums, t = t, sums
-        _wrap(nxt, pos)
+        _run(expr, pos, scratch)
+        np.floor(pos, out=fl)
+        whole += fl
+        pos -= fl
         if tail and k > tail_start:
-            avg = np.divide(sums, k, out=y)
+            avg = np.subtract(pos, pos0, out=fl)
+            avg += whole
+            avg /= k
             if k == tail_start + 1:
                 np.copyto(tail_lo, avg)
                 np.copyto(tail_hi, avg)
@@ -435,6 +433,8 @@ def _orbit_block(expr: MapExpr, pts: np.ndarray, n: int, tail: bool, stop):
     spread = None
     if tail and n >= 1:
         spread = np.subtract(tail_hi, tail_lo, out=tail_hi).max(axis=0)
+    sums = np.subtract(pos, pos0, out=pos)
+    sums += whole
     return sums.T, spread
 
 

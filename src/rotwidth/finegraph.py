@@ -526,15 +526,6 @@ class RootCertificate:
         return f"VERDICT: {self.verdict} THRESHOLD: {self.threshold}"
 
 
-def parse_verdict_line(text: str) -> tuple[str, Fraction]:
-    """Extract (verdict, threshold) from a certificate transcript."""
-    for line in text.splitlines():
-        if line.startswith("VERDICT: "):
-            fields = line.split()
-            return fields[1], Fraction(fields[3])
-    raise ValueError("no VERDICT line found")
-
-
 def certify_no_roots(ew, length_upper) -> RootCertificate:
     """Decide whether the pair (ew, length_upper) rules out p/q-th roots
     with p/q >= ew, and produce an exact transcript either way."""

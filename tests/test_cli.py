@@ -61,6 +61,13 @@ class TestRotset:
         # the box of a translation is its exact double: one point
         assert (tmp_path / "rs_outer.txt").read_text() == f"{Fraction(1 / 3)} 1/4\n"
 
+    def test_rounding_outside_the_box_is_reported(self, capsys):
+        code, out, _ = run_cli(capsys, "rotset", "T(1/3,1/4)", "--grid", "4",
+                               "--iters", "5", "--no-meta")
+        assert code == 0
+        assert ("inner hull leaves the outer box by 5.55112e-17, within the float rounding"
+                " tolerance 1.77636e-15 (8 ulps of the box scale)\n") in out
+
     def test_outer_box_is_certified(self, tmp_path, capsys):
         prefix = str(tmp_path / "box")
         code, out, _ = run_cli(capsys, "rotset", "T(1,-2) (V^2 H^2)^2", "--grid", "8",
@@ -69,6 +76,7 @@ class TestRotset:
         assert "certified outer box = [1, 5] x [-2, 2]\n" in out
         assert "EW of the outer box = 4 (certified upper bound)\n" in out
         assert "heuristic" not in out and "displacement bound" not in out
+        assert "leaves the outer box" not in out
         assert (tmp_path / "box_outer.txt").read_text() == "1 -2\n5 -2\n5 2\n1 2\n"
 
     def test_expect_box(self, capsys):

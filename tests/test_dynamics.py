@@ -97,6 +97,15 @@ class TestEvalLift:
             q = eval_lift(t, eval_lift(v, eval_lift(h, q)))
         assert eval_lift(Power(Compose((t, v, h)), 3), p) == q
 
+    @pytest.mark.parametrize("m", [51, 64, 100])
+    def test_large_power_is_m_applications(self, m):
+        e = Compose((Translate(0.25, -0.375), VShear(default_profile(), -2), HShear(_PL, 1)))
+        pts = np.array([[0.3, 0.7], [-1.25, 2.5], [0.5, 0.0], [0.91, 0.13]])
+        q = pts
+        for _ in range(m):
+            q = eval_lift_array(e, q)
+        assert eval_lift_array(Power(e, m), pts).tobytes() == q.tobytes()
+
     def test_power_lipschitz_bound_is_the_power(self):
         e = Compose((Translate(0.25, -0.375), VShear(tent_profile(), -2),
                      HShear(default_profile(), 1)))
@@ -437,6 +446,28 @@ def test_profile_fuzz_gives_profile_or_profile_error(tmp_path_factory, text):
     assert all(math.isfinite(v) and 0.0 <= v <= 1.0 for _, v in prof.breakpoints)
 
 
+class TestWrap:
+    """`_wrap` is exact for x >= 0 and x <= -1/2; on (-1/2, 0) it rounds
+    x + 1 and may return 1.0."""
+
+    def test_rounded_values_on_the_open_half(self):
+        xs = np.array([-0.3000000000000001, -1e-20])
+        out = np.empty_like(xs)
+        dynamics._wrap(xs, out)
+        assert out.tolist() == [0.7, 1.0]
+        assert Fraction(out[0]) != Fraction(xs[0]) + 1
+
+    def test_exact_outside_the_open_half(self):
+        rng = np.random.default_rng(4)
+        xs = np.concatenate([rng.random(500) * 8, -0.5 - rng.random(500) * 8,
+                             [0.0, -0.0, -0.5, 1e-300, 2.0**51 + 0.5, -(2.0**51) - 0.5]])
+        out = np.empty_like(xs)
+        dynamics._wrap(xs, out)
+        assert out.tobytes() == np.mod(xs, 1.0).tobytes()
+        for x, r in zip(xs.tolist(), out.tolist()):
+            assert Fraction(r) == Fraction(x) - math.floor(x)
+
+
 class TestSinSqExactValues:
     """phi is exactly 0 at integers and exactly 1 at half-integers with no
     special-casing, in every SIMD lane and tail position."""
@@ -496,26 +527,23 @@ def _ref_lift(expr, pts):
 
 
 def _ref_orbit_sums(expr, pts, n, tail):
-    """The plain allocating orbit loop, with np.mod for every wrap."""
-    pos = np.mod(np.array(pts, dtype=float), 1.0)
-    sums = np.zeros_like(pos)
-    comp = np.zeros_like(pos)
+    """The plain allocating orbit loop, with np.mod for every wrap.  The sum
+    is the change in the wrapped position plus the integers the wraps take
+    off."""
+    pos0 = np.mod(np.array(pts, dtype=float), 1.0)
+    pos, whole = pos0, np.zeros_like(pos0)
     tail_lo = tail_hi = None
     tail_start = n - max(1, n // 10)
     for k in range(1, n + 1):
         nxt = _ref_lift(expr, pos)
-        step = nxt - pos
-        y = step - comp
-        t = sums + y
-        comp = (t - sums) - y
-        sums = t
+        whole = whole + np.floor(nxt)
         pos = np.mod(nxt, 1.0)
         if tail and k > tail_start:
-            avg = sums / k
+            avg = ((pos - pos0) + whole) / k
             tail_lo = avg if tail_lo is None else np.minimum(tail_lo, avg)
             tail_hi = avg if tail_hi is None else np.maximum(tail_hi, avg)
     spread = (tail_hi - tail_lo).max(axis=1) if tail else None
-    return sums, spread
+    return (pos - pos0) + whole, spread
 
 
 _PL = PiecewiseLinearProfile([(0, 0.0), (Fraction(1, 5), 0.3), (Fraction(1, 2), 1.0),
@@ -527,6 +555,39 @@ KERNEL_EXPRS = {
     "piecewise_linear": Compose((VShear(_PL, 2), HShear(tent_profile(), 1))),
     "negative_power": Compose((VShear(default_profile(), -2), HShear(default_profile(), 3))),
 }
+
+
+_SIN = default_profile()
+REPLAY_EXPRS = {
+    "negative_powers": Compose((VShear(_SIN, -3), HShear(_SIN, -3), VShear(_SIN, -2),
+                                HShear(_SIN, 2))),
+    "commutator": Compose((VShear(_SIN, 1), HShear(_SIN, 2), VShear(_SIN, -1),
+                           HShear(_SIN, -2))),
+    "integer_translate": Compose((Translate(1, -2), Power(vnhn(2), 2))),
+    "dyadic_translate": Compose((Translate(0.25, -0.375), VShear(_SIN, -1), HShear(_SIN, 2))),
+    "half_back": Compose((Translate(-0.5, 0.25), VShear(_SIN, 1), HShear(_SIN, 1))),
+    "piecewise_linear": Compose((VShear(_PL, -2), HShear(_PL, 3))),
+}
+
+
+def _exact_sums(expr, pts, n):
+    """Replay the float orbit of `_ref_lift` from `pts` and return, as
+    Fractions in row-major order, its exact lifted displacement (change in
+    wrapped position plus the integer parts taken off) and the exact sum of
+    its one-step displacements."""
+    pos0 = np.mod(np.array(pts, dtype=float), 1.0)
+    pos = pos0
+    whole = [0] * pos.size
+    steps = [Fraction(0)] * pos.size
+    for _ in range(n):
+        nxt = _ref_lift(expr, pos)
+        for i, (a, b) in enumerate(zip(nxt.ravel().tolist(), pos.ravel().tolist())):
+            whole[i] += math.floor(a)
+            steps[i] += Fraction(a) - Fraction(b)
+        pos = np.mod(nxt, 1.0)
+    lifted = [Fraction(a) - Fraction(b) + w
+              for a, b, w in zip(pos.ravel().tolist(), pos0.ravel().tolist(), whole)]
+    return lifted, steps
 
 
 def _set_cpus(monkeypatch, cpus):
@@ -557,6 +618,19 @@ class TestOrbitKernelReference:
                 assert spread.tobytes() == ref_spread.tobytes()
             else:
                 assert spread is None
+
+    @pytest.mark.parametrize("name", sorted(REPLAY_EXPRS))
+    def test_sums_within_an_ulp_of_the_exact_lifted_displacement(self, name):
+        expr, n = REPLAY_EXPRS[name], 60
+        for pts in (_grid_points(8, "uniform", 0), np.array([[0.3, 0.7]]),
+                    np.array([[-1.25, 2.5]]), np.array([[-1e-20, -0.3000000000000001]])):
+            sums, _ = _orbit_sums(expr, pts, n, tail=False)
+            lifted, stepped = _exact_sums(expr, pts, n)
+            for s, exact, exact_steps in zip(sums.ravel().tolist(), lifted, stepped):
+                assert abs(Fraction(s) - exact) <= Fraction(np.spacing(abs(float(exact))))
+                # the two lifts differ by the wraps on (-1/2, 0), each rounded
+                # by at most half an ulp of 1/2
+                assert abs(exact - exact_steps) <= Fraction(n, 2**54)
 
     @pytest.mark.parametrize("name", sorted(KERNEL_EXPRS))
     def test_eval_lift_array_matches_reference(self, name):

@@ -34,7 +34,6 @@ from rotwidth.finegraph import (
     length_lower_bound,
     line_image_curve,
     m_bound,
-    parse_verdict_line,
     straight_curve,
     t0_constant,
     torus_crossing_count,
@@ -503,9 +502,9 @@ class TestRootCertificates:
 
     def test_verdict_line_round_trip(self):
         cert = certify_no_roots(F(4443, 2), 2)
-        verdict, threshold = parse_verdict_line(cert.transcript)
-        assert verdict == cert.verdict
-        assert threshold == cert.threshold
+        last = cert.transcript.splitlines()[-1]
+        assert last == cert.verdict_line()
+        assert last.split() == ["VERDICT:", cert.verdict, "THRESHOLD:", str(cert.threshold)]
 
     def test_transcript_carries_exact_rationals(self):
         cert = certify_no_roots(2221, 2)
